@@ -11,8 +11,10 @@
 // service experiences.
 //
 // Offered loads are derived from a measured calibration of the
-// single-request service time, so the same utilization points (well below
-// saturation up to just above it) reproduce across hosts. Each
+// single-request service time — one request at a time through a
+// serve::Server's submit/wait, the path the loads drive — so the same
+// utilization points (well below saturation up to just above it)
+// reproduce across hosts. Each
 // (mode, load) point runs on a fresh serve::Server whose histograms carry
 // `mode="...",load="..."` labels — the per-point quantiles land in the v2
 // run report's `histograms` object — and the report rows/notes carry the
@@ -33,13 +35,13 @@
 #include <chrono>
 #include <cstddef>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "finbench/core/portfolio.hpp"
-#include "finbench/engine/engine.hpp"
 #include "finbench/serve/server.hpp"
 
 using namespace finbench;
@@ -50,6 +52,7 @@ namespace {
 // server exists for (a whole-batch caller would just use Engine::price).
 constexpr std::size_t kOptionsPerRequest = 32;
 constexpr int kTrials = 3;  // best-of trials per (mode, load) point
+constexpr int kCalibrationReps = 200;
 const char* kKernelId = "blackscholes.blocked_fused.8f";  // AOS-native: no negotiation
 
 double quantile(std::vector<double>& sorted, double q) {
@@ -137,6 +140,30 @@ PointResult run_point(std::vector<serve::PricingJob>& jobs, std::size_t nreq, do
 }
 
 std::string ms(double seconds) { return harness::eng(1e3 * seconds) + " ms"; }
+std::string us(double seconds) { return harness::eng(1e6 * seconds) + " us"; }
+
+// Median submit -> wait time of one request at a time on a fresh
+// uncoalesced server: the service time the offered loads are fractions
+// of, measured through the same queue, dispatcher and completion path.
+double calibrate_service_seconds(serve::PricingJob& job) {
+  serve::ServerConfig cfg;
+  cfg.coalesce = false;
+  serve::Server server(cfg);
+  server.start();
+  using clock = std::chrono::steady_clock;
+  std::vector<double> t;
+  for (int rep = 0; rep <= kCalibrationReps; ++rep) {
+    const auto t0 = clock::now();
+    if (!server.submit(job).ok()) throw std::runtime_error("calibration submit rejected");
+    server.wait(job);
+    const double dt = std::chrono::duration<double>(clock::now() - t0).count();
+    if (!job.result.status.ok()) throw std::runtime_error(job.result.status.to_string());
+    if (rep > 0) t.push_back(dt);  // rep 0 warms the server and the request
+  }
+  server.stop();
+  std::sort(t.begin(), t.end());
+  return quantile(t, 0.5);
+}
 
 }  // namespace
 
@@ -154,7 +181,6 @@ int main(int argc, char** argv) {
 
   // Calibrate the single-request service time so offered loads are
   // utilization points of THIS host's single-stream capacity.
-  engine::Engine& eng = engine::Engine::shared();
   std::vector<core::Portfolio> pfs;
   std::vector<serve::PricingJob> jobs(nreq);
   pfs.reserve(nreq);
@@ -163,13 +189,11 @@ int main(int argc, char** argv) {
     jobs[i].request.kernel_id = kKernelId;
     jobs[i].request.portfolio = pfs.back().view();
   }
-  const double svc = 1.0 / bench::items_per_sec("serve.calibrate", 1, 5, [&] {
-    engine::PricingResult res = eng.price(jobs[0].request);
-    if (!res.status.ok()) throw std::runtime_error(res.status.to_string());
-  });
+  const double svc = calibrate_service_seconds(jobs[0]);
   const double capacity = 1.0 / svc;
-  report.add_note("calibration: single-request service time = " + harness::eng(svc) +
-                  " s (single-stream capacity ~" + harness::eng(capacity) + " req/s)");
+  report.add_note("calibration: single-request service time = " + us(svc) +
+                  " through serve submit/wait (single-stream capacity ~" +
+                  harness::eng(capacity) + " req/s)");
 
   double top_coalesced_p99 = 0.0, top_uncoalesced_p99 = 0.0;
   bool coalescing_always_batched = true;

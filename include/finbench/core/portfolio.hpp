@@ -202,6 +202,14 @@ PortfolioView convert(const PortfolioView& src, Layout target, Arena& a,
 // layout's prices back in the caller's arrays. Returns bytes copied.
 std::size_t copy_outputs(const PortfolioView& from, const PortfolioView& to);
 
+// The inverse direction for inputs: copy spot/strike/years and the shared
+// rate/vol/dividend of `from` into `to` (any Black–Scholes layout pair of
+// equal size), leaving `to`'s outputs alone. The engine refreshes its
+// cached negotiated view with this on every pricing, so a caller that
+// edits its portfolio in place is priced on the new inputs. Returns bytes
+// copied.
+std::size_t copy_inputs(const PortfolioView& from, PortfolioView& to);
+
 // --- Portfolio --------------------------------------------------------------
 //
 // The owning form: one arena holding the workload in one layout. All

@@ -7,12 +7,13 @@
 // cached across repetitions, and its one-time cost reported in
 // PricingResult::convert_seconds/convert_bytes; outputs are copied back
 // into the caller's portfolio after every run, inside the timed region),
-// partitions specs-layout portfolios into cost-model-weighted chunks, and
-// executes them on a persistent thread pool with dynamic chunk
-// self-scheduling (PricingRequest::schedule selects dynamic/static).
-// Variants without a run_range adapter (Black–Scholes batches, Brownian
-// path construction) fall through to the kernel's native batch entry
-// point.
+// partitions specs-layout portfolios into cost-model-weighted chunks (and
+// Black–Scholes arrays with a range adapter into fixed 16K-option chunks
+// that check, price and guard themselves), and executes them on a
+// persistent thread pool with dynamic chunk self-scheduling
+// (PricingRequest::schedule selects dynamic/static for specs). Variants
+// without a run_range adapter (the other Black–Scholes rows, Brownian path
+// construction) fall through to the kernel's native batch entry point.
 //
 // Steady state is allocation-free: re-pricing the same request through
 // the two-argument price() overload performs zero heap allocations per

@@ -88,13 +88,17 @@ struct VariantInfo {
   void (*run_batch)(const PricingRequest&, const core::PortfolioView&,
                     PricingResult&) = nullptr;
 
-  // Execute items [begin, end) of a kSpecs workload, writing
-  // values[begin..end) (and std_errors for MC). Must be safe to call
+  // Execute items [begin, end) of the workload: a kSpecs adapter writes
+  // values[begin..end) (and std_errors for MC); a Black–Scholes adapter
+  // writes the view's call/put arrays over the range. Must be safe to call
   // concurrently for disjoint ranges; null = whole-batch only (the engine
   // then falls back to run_batch). Must not allocate: chunks run in the
   // engine's zero-steady-state-allocation loop (buffers come from prepare
-  // / the request Scratch).
-  void (*run_range)(const PricingRequest&, const core::PortfolioView&, std::size_t begin,
+  // / the request Scratch). Returns false when the adapter knows an output
+  // it wrote is not finite — the Black–Scholes adapters probe their outputs
+  // in registers, so a true return lets the engine skip the finite-mode
+  // guard scan; kSpecs adapters return true and are guarded regardless.
+  bool (*run_range)(const PricingRequest&, const core::PortfolioView&, std::size_t begin,
                     std::size_t end, PricingResult&) = nullptr;
 
   bool has_std_error = false;  // fills PricingResult::std_errors

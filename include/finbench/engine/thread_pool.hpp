@@ -68,6 +68,11 @@ class ThreadPool {
   // policy (FTZ+DAZ, robust::install_denormal_ftz), so results never
   // depend on which participant claimed a chunk. The caller's FP state is
   // restored before run() returns.
+  //
+  // A run of a single chunk executes inline on the caller, under the same
+  // FP policy and one-thread OpenMP ICV, without waking the workers —
+  // unless the chunk spawns fork-join tasks, whose first spawn wakes them
+  // to help drain the queue until the chunk completes.
   void run(std::ptrdiff_t nchunks, const std::function<void(std::ptrdiff_t)>& fn,
            arch::Schedule sched = arch::Schedule::kDynamic, const char* site = "pool",
            const robust::CancelToken* cancel = nullptr);
@@ -111,6 +116,8 @@ class ThreadPool {
   static void count_task_spawned();
   static void count_suppressed_exception();
 
+  void run_single(const std::function<void(std::ptrdiff_t)>& fn,
+                  const robust::CancelToken* cancel);
   void worker_main(int participant);
   void participate(int participant);
   void execute_chunk(std::ptrdiff_t c);

@@ -50,6 +50,16 @@ void price_reference(core::BsAosView batch);
 void price_basic(core::BsAosView batch);
 void price_intermediate(core::BsSoaView batch, Width w = Width::kAuto);
 
+// Range entry of the intermediate kernel: prices options [begin, end) on
+// the calling thread (no OpenMP), for callers that schedule ranges
+// themselves (the engine's chunks). `begin` must be a multiple of 16 (the
+// widest lane count, so aligned loads hold); results are bitwise-equal to
+// the whole-batch entry's. Returns true when every call and put it wrote
+// is finite, from a probe accumulated in registers as the outputs were
+// stored. The whole-batch entry above is an OpenMP split over this body.
+bool price_intermediate(core::BsSoaView batch, std::size_t begin, std::size_t end,
+                        Width w = Width::kAuto);
+
 // The VML variant's chunk temporaries (d1/d2/xexp/qlog) come from the
 // caller's scratch pool when one is supplied (one slot of 4 x kVmlChunk
 // doubles per concurrent worker); a null pool falls back to per-call
@@ -77,6 +87,9 @@ void price_blocked_from_aos(core::BsAosView batch, Width w = Width::kAuto);
 // precision/lane-count trade Table I's SP peak rows quantify.
 using WidthF = vecmath::WidthF;
 void price_intermediate_sp(core::BsSoaFView batch, WidthF w = WidthF::kAuto);
+// Range entry of the SP kernel, with the same contract as the DP one.
+bool price_intermediate_sp(core::BsSoaFView batch, std::size_t begin, std::size_t end,
+                           WidthF w = WidthF::kAuto);
 void price_blocked_sp(core::BsBlockedView batch, WidthF w = WidthF::kAuto);
 
 // SP twin of price_blocked_from_aos: the f64 AOS inputs narrow to f32 in

@@ -91,4 +91,12 @@ void bs_store_inputs(const core::PortfolioView& view, std::size_t i, double spot
 std::size_t guard_and_repair_bs(const core::PortfolioView& view, const GuardPolicy& policy,
                                 std::span<const std::uint8_t> mask);
 
+// The same over options [begin, end) only (mask indexed like the whole
+// view) — the engine guards each chunk on the worker that priced it.
+// Under kFinite a block of outputs that one branch-free vector scan finds
+// all finite is skipped without the per-option path.
+std::size_t guard_and_repair_bs(const core::PortfolioView& view, const GuardPolicy& policy,
+                                std::span<const std::uint8_t> mask, std::size_t begin,
+                                std::size_t end);
+
 }  // namespace finbench::robust

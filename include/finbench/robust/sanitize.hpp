@@ -104,4 +104,18 @@ void sanitize_specs(std::span<const core::OptionSpec> src, std::span<core::Optio
 // Fault bits for one spec (no mutation, no counters) — the scan primitive.
 std::uint8_t classify(const core::OptionSpec& o, const SanitizeEnvelope& env = {});
 
+// --- Black–Scholes fast predicates (no mutation, no counters) ---------------
+//
+// The clean-path checks sanitize() itself uses to skip clean blocks, and
+// that the engine runs per chunk before pricing it. When both hold over a
+// whole view, sanitize() would find nothing to flag or repair.
+
+// True when the batch-shared rate, vol and dividend of a BS view are clean.
+bool bs_shared_clean(const core::PortfolioView& view, const SanitizeEnvelope& env = {});
+
+// True when every option in [begin, end) of a BS view has spot, strike and
+// years inside the envelope — one branch-free vector scan of the inputs.
+bool bs_inputs_clean(const core::PortfolioView& view, std::size_t begin, std::size_t end,
+                     const SanitizeEnvelope& env = {});
+
 }  // namespace finbench::robust

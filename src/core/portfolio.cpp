@@ -396,6 +396,64 @@ std::size_t copy_outputs(const PortfolioView& from, const PortfolioView& to) {
   return n * 2 * elem;
 }
 
+std::size_t copy_inputs(const PortfolioView& from, PortfolioView& to) {
+  if (!is_bs(from.layout) || !is_bs(to.layout)) {
+    throw std::invalid_argument("copy_inputs: both views must be Black-Scholes layouts");
+  }
+  if (from.size() != to.size()) {
+    throw std::invalid_argument("copy_inputs: size mismatch");
+  }
+  const std::size_t n = to.size();
+  const BsScalars s = scalars_of(from);
+  switch (to.layout) {
+    case Layout::kBsAos:
+      to.aos.rate = s.rate;
+      to.aos.vol = s.vol;
+      to.aos.dividend = s.dividend;
+      break;
+    case Layout::kBsSoa:
+      to.soa.rate = s.rate;
+      to.soa.vol = s.vol;
+      to.soa.dividend = s.dividend;
+      break;
+    case Layout::kBsSoaF:
+      to.sp.rate = static_cast<float>(s.rate);
+      to.sp.vol = static_cast<float>(s.vol);
+      break;
+    default:
+      to.blocked.rate = s.rate;
+      to.blocked.vol = s.vol;
+      to.blocked.dividend = s.dividend;
+      break;
+  }
+  if (from.layout == Layout::kBsAos && to.layout == Layout::kBsSoa) {
+    const BsOptionAos* o = from.aos.options.data();
+    for (std::size_t i = 0; i < n; ++i) {
+      to.soa.spot[i] = o[i].spot;
+      to.soa.strike[i] = o[i].strike;
+      to.soa.years[i] = o[i].years;
+    }
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      BsLane l = lane_of(to, i);
+      const BsLane f = lane_of(from, i);
+      l.spot = f.spot;
+      l.strike = f.strike;
+      l.years = f.years;
+      store_lane(to, i, l);
+    }
+    // Blocked padding lanes replicate the final option, as fill() does.
+    if (to.layout == Layout::kBsBlocked && n > 0) {
+      const std::size_t ceil_n =
+          to.blocked.num_blocks() * static_cast<std::size_t>(to.blocked.block);
+      const BsLane last = lane_of(to, n - 1);
+      for (std::size_t i = n; i < ceil_n; ++i) store_lane(to, i, last);
+    }
+  }
+  const std::size_t elem = to.layout == Layout::kBsSoaF ? sizeof(float) : sizeof(double);
+  return n * 3 * elem;
+}
+
 // --- Portfolio --------------------------------------------------------------
 
 Portfolio Portfolio::bs(std::size_t n, Layout layout, std::uint64_t seed,

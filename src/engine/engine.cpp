@@ -35,10 +35,29 @@ constexpr double kQuietNan = std::numeric_limits<double>::quiet_NaN();
 // chunked execution bitwise identical to the whole-batch call.
 constexpr std::size_t kChunkAlign = 8;
 
-// Contiguous chunk boundaries over [0, n): cost-model-weighted for dynamic
-// scheduling (each chunk carries ~total/K weight, so expensive long-dated
-// options don't all land in one chunk), plain equal-count stripes for
-// static (the classic partition the imbalance experiment compares against).
+// Black–Scholes chunks: at most 16K options, ~640 KB of inputs and
+// outputs, so a chunk's input check, kernel and any guard pass share one
+// L2-resident working set. A request below that per participant is split
+// evenly across the pool down to 1K-option chunks (a few pool wake-ups'
+// worth of pricing), so a request of up to 1K options is one chunk priced
+// on the caller.
+// Chunk sizes are multiples of kBsAlign, the widest lane count (16 SP), so
+// every chunk starts on an aligned vector.
+constexpr std::size_t kBsChunk = 16384;
+constexpr std::size_t kBsMinChunk = 1024;
+constexpr std::size_t kBsAlign = 16;
+
+// Internal chunk_status marker: the chunk's input check failed, so it
+// priced nothing and waits for the sanitizer. Resolved before price()
+// returns; never visible to callers.
+constexpr std::uint8_t kChunkRescan = 0xff;
+
+// Contiguous chunk boundaries over [0, n): equal stripes for Black–Scholes
+// layouts (uniform cost; nparts = pool size, sizes per kBsChunk above),
+// cost-model-weighted for dynamic scheduling (each chunk carries ~total/K
+// weight, so expensive long-dated options don't all land in one chunk),
+// plain equal-count stripes for static (the classic partition the
+// imbalance experiment compares against).
 // Interior boundaries are kChunkAlign-aligned; duplicates are dropped, so
 // every chunk is non-empty. The result is cached in the request Scratch —
 // steady-state repetitions reuse it without touching the heap.
@@ -60,7 +79,11 @@ const std::vector<std::size_t>& chunk_bounds(const VariantInfo& v, const Pricing
     b -= b % kChunkAlign;
     if (b > bounds.back() && b < n) bounds.push_back(b);
   };
-  if (v.item_cost && schedule == arch::Schedule::kDynamic && !view.specs.empty()) {
+  if (v.layout != Layout::kSpecs) {
+    std::size_t chunk = (n + k - 1) / k;
+    chunk = std::clamp((chunk + kBsAlign - 1) / kBsAlign * kBsAlign, kBsMinChunk, kBsChunk);
+    for (std::size_t b = chunk; b < n; b += chunk) bounds.push_back(b);
+  } else if (v.item_cost && schedule == arch::Schedule::kDynamic && !view.specs.empty()) {
     std::vector<double>& cost = s.item_cost;
     cost.resize(n);
     double total = 0.0;
@@ -121,10 +144,10 @@ std::size_t inject_corrupt_values(std::span<double> values, std::size_t base,
   return hit;
 }
 
-std::size_t inject_corrupt_bs(const core::PortfolioView& view, const robust::FaultPlan& plan) {
+std::size_t inject_corrupt_bs(const core::PortfolioView& view, const robust::FaultPlan& plan,
+                              std::size_t begin, std::size_t end) {
   std::size_t hit = 0;
-  const std::size_t n = view.size();
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = begin; i < end; ++i) {
     if (plan.hits(1, i, plan.corrupt)) {
       const robust::BsElem e = robust::bs_elem(view, i);
       robust::bs_store_outputs(view, i, kQuietNan, e.put);
@@ -152,18 +175,18 @@ void inject_chunk_faults(const robust::FaultPlan& plan, std::ptrdiff_t chunk) {
   }
 }
 
-// Re-price all options of a BS batch view with the scalar closed form —
-// the terminal repair when a BS whole-batch kernel throws and no batch
-// fallback variant shares its layout.
-void repair_bs_all(const core::PortfolioView& view) {
-  const std::size_t n = view.size();
-  for (std::size_t i = 0; i < n; ++i) {
+// Re-price options [begin, end) of a BS view with the scalar closed form —
+// the terminal repair when a BS kernel throws and no fallback variant
+// shares its layout (the chunked BS rows' chains end in the AOS
+// reference, so their failed chunks always land here).
+void repair_bs_range(const core::PortfolioView& view, std::size_t begin, std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) {
     const robust::BsElem e = robust::bs_elem(view, i);
     const core::BsPrice p =
         core::black_scholes(e.spot, e.strike, e.years, e.rate, e.vol, e.dividend);
     robust::bs_store_outputs(view, i, p.call, p.put);
   }
-  obs::counter("robust.guard.repaired").add(n);
+  obs::counter("robust.guard.repaired").add(end - begin);
 }
 
 // Force quiet NaN into the outputs of sanitizer-skipped options, so the
@@ -359,10 +382,22 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
     }
   }
 
+  // Black–Scholes layouts with a range adapter price in chunks on the pool,
+  // each chunk checking its inputs, pricing, and guarding its own outputs;
+  // every other BS variant runs whole-batch.
+  const bool bs_chunked = v->run_range != nullptr && v->layout != Layout::kSpecs;
+
   // --- Input sanitization --------------------------------------------------
+  // A chunked BS request under kSkip/kClamp with clean shared parameters
+  // defers the per-option scan to its chunks (scan_in_chunks); kReject and
+  // shared-parameter faults take the full serial scan first, so a
+  // rejected request prices nothing.
   robust::SanitizeReport& san = s.sanitize_report;
   san.reset();
-  if (req.sanitize != robust::SanitizePolicy::kOff) {
+  const bool scan_in_chunks = bs_chunked && req.sanitize != robust::SanitizePolicy::kOff &&
+                              req.sanitize != robust::SanitizePolicy::kReject &&
+                              robust::bs_shared_clean(working);
+  if (req.sanitize != robust::SanitizePolicy::kOff && !scan_in_chunks) {
     robust::sanitize(working, req.sanitize, san);
     if (!san.clean()) {
       if (req.sanitize == robust::SanitizePolicy::kReject) {
@@ -396,7 +431,8 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
 
   // --- Layout negotiation --------------------------------------------------
   // A convertible mismatch is converted once into the request's arena and
-  // cached; repetitions reuse the converted view and only pay the output
+  // cached; repetitions reuse the converted view, refresh its inputs from
+  // the caller's (which may have changed in place) and pay the output
   // writeback. The one-time conversion cost travels on every result so a
   // single-shot caller still sees what negotiation cost them.
   const core::PortfolioView* view = &working;
@@ -425,6 +461,8 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
       converts.add(1);
       cbytes.add(s.convert_stats.bytes);
       csecs.record(s.convert_stats.seconds);
+    } else {
+      core::copy_inputs(working, s.negotiated);
     }
     view = &s.negotiated;
     negotiated = true;
@@ -496,14 +534,14 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
   };
 
   // --- Whole-batch execution -----------------------------------------------
-  // No range adapter, or nothing to chunk over. Negotiated Black–Scholes
-  // runs land here (BS variants are whole-batch); their outputs are
-  // written into the converted arrays, so each run ends with a writeback
-  // into the caller's portfolio — inside the timer, so res.seconds stays
-  // honest about what the caller's layout really costs. The whole batch
-  // is one unit of failure/fallback accounting; the cooperative deadline
-  // is only checked before the kernel runs.
-  if (!v->run_range || v->layout != Layout::kSpecs || n < 2) {
+  // No range adapter, or a single spec to price. Black–Scholes variants
+  // without run_range land here; a negotiated run's outputs are written
+  // into the converted arrays, so each run ends with a writeback into the
+  // caller's portfolio — inside the timer, so res.seconds stays honest
+  // about what the caller's layout really costs. The whole batch is one
+  // unit of failure/fallback accounting; the cooperative deadline is only
+  // checked before the kernel runs.
+  if (!v->run_range || (v->layout == Layout::kSpecs && n < 2)) {
     RunErrors errors;
     // The whole batch is one chunk of flight-recorder accounting: one
     // record covering [0, n), one sample in the per-chunk histogram.
@@ -540,7 +578,7 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
     }
     if (priced && req.faults.corrupt > 0.0) {
       if (robust::is_bs_layout(*view)) {
-        inject_corrupt_bs(*view, req.faults);
+        inject_corrupt_bs(*view, req.faults, 0, n);
       } else {
         inject_corrupt_values(res.values, 0, req.faults);
       }
@@ -570,7 +608,7 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
         }
       }
       if (!priced && robust::is_bs_layout(*view)) {
-        repair_bs_all(*view);
+        repair_bs_range(*view, 0, n);
         res.options_repaired += n;
         res.chunks_degraded = 1;
         obs::counter("robust.fallback.chunks").add(1);
@@ -621,8 +659,16 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
   }
 
   // --- Chunked execution ---------------------------------------------------
-  res.values.assign(n, 0.0);
-  if (v->has_std_error) res.std_errors.assign(n, 0.0);
+  // kSpecs chunks write res.values; Black–Scholes chunks write the view's
+  // call/put arrays and each runs, on the worker that owns it: the input
+  // check (when the scan is deferred), the kernel with its in-register
+  // output probe, and a guard pass over its own range only when the probe
+  // failed, the guard checks bounds, faults are injected or a sanitizer
+  // mask exists.
+  if (!bs_chunked) {
+    res.values.assign(n, 0.0);
+    if (v->has_std_error) res.std_errors.assign(n, 0.0);
+  }
   if (v->prepare) {
     try {
       v->prepare(req, *view);
@@ -634,20 +680,21 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
 
   // Effective scheduling: the request's values for explicit dispatch, the
   // resolved plan's for auto (pins keep the caller's value — see
-  // PricingRequest::pin_schedule/pin_chunks).
+  // PricingRequest::pin_schedule/pin_chunks). Black–Scholes chunks are
+  // uniform and always claimed dynamically.
+  const arch::Schedule schedule = bs_chunked ? arch::Schedule::kDynamic : rd.schedule;
   const int P = pool_->size();
-  const int nparts = rd.schedule == arch::Schedule::kDynamic
+  const int nparts = schedule == arch::Schedule::kDynamic && !bs_chunked
                          ? P * std::max(1, rd.chunks_per_thread)
                          : P;
-  const std::vector<std::size_t>& bounds = chunk_bounds(*v, req, *view, n, nparts, rd.schedule);
+  const std::vector<std::size_t>& bounds = chunk_bounds(*v, req, *view, n, nparts, schedule);
   const std::size_t nchunks = bounds.size() - 1;
   res.chunk_status.assign(nchunks, static_cast<std::uint8_t>(ChunkStatus::kNotRun));
   const char* site =
-      rd.schedule == arch::Schedule::kDynamic ? "engine.dynamic" : "engine.static";
+      schedule == arch::Schedule::kDynamic ? "engine.dynamic" : "engine.static";
 
   RunErrors errors;
-  const bool inject = req.faults.any_engine_side();
-  const bool guard_on = req.guard.mode != robust::GuardMode::kOff;
+  std::atomic<std::size_t> bs_repaired{0};
 
   // One-pointer capture: the closure fits std::function's small-buffer
   // optimization, so submitting the run allocates nothing. Kernel
@@ -663,68 +710,132 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
     RunErrors* errors;
     obs::Histogram* hist_chunk;
     obs::FlightRecorder* flight;
+    std::atomic<std::size_t>* bs_repaired;
+    const std::size_t* remap;  // rerun pass: run index -> chunk index
     bool inject;
     bool guard_on;
+    bool bs;
+    bool scan;  // deferred input check
   };
-  ChunkCtx ctx{v, &req, view, bounds.data(), &res, &errors, s.hist_chunk, s.flight, inject,
-               guard_on};
-  pool_->run(
-      static_cast<std::ptrdiff_t>(nchunks),
-      [&ctx](std::ptrdiff_t c) {
-        FINBENCH_SPAN("engine.chunk");
-        const std::size_t begin = ctx.bounds[static_cast<std::size_t>(c)];
-        const std::size_t end = ctx.bounds[static_cast<std::size_t>(c) + 1];
-        std::uint8_t& slot = ctx.res->chunk_status[static_cast<std::size_t>(c)];
-        const double start_us = obs::trace::now_us();
-        try {
-          if (ctx.inject) inject_chunk_faults(ctx.req->faults, c);
-          if (resilience::chaos_active()) {
-            resilience::maybe_inject(ctx.v->id.c_str(), ctx.res->request_id,
-                                     static_cast<std::uint64_t>(c));
+  ChunkCtx ctx{v,
+               &req,
+               view,
+               bounds.data(),
+               &res,
+               &errors,
+               s.hist_chunk,
+               s.flight,
+               &bs_repaired,
+               /*remap=*/nullptr,
+               /*inject=*/req.faults.any_engine_side(),
+               /*guard_on=*/req.guard.mode != robust::GuardMode::kOff,
+               /*bs=*/bs_chunked,
+               /*scan=*/scan_in_chunks};
+  const auto run_chunk = [&ctx](std::ptrdiff_t k) {
+    FINBENCH_SPAN("engine.chunk");
+    const std::size_t c = ctx.remap != nullptr ? ctx.remap[k] : static_cast<std::size_t>(k);
+    const std::size_t begin = ctx.bounds[c];
+    const std::size_t end = ctx.bounds[c + 1];
+    const PricingRequest& req = *ctx.req;
+    PricingResult& res = *ctx.res;
+    std::uint8_t& slot = res.chunk_status[c];
+    const double start_us = obs::trace::now_us();
+    try {
+      if (ctx.scan && !robust::bs_inputs_clean(*ctx.view, begin, end)) {
+        slot = kChunkRescan;  // outputs left alone; re-run after sanitize
+      } else {
+        if (ctx.inject) inject_chunk_faults(req.faults, static_cast<std::ptrdiff_t>(c));
+        if (resilience::chaos_active()) {
+          resilience::maybe_inject(ctx.v->id.c_str(), res.request_id, c);
+        }
+        const bool finite = ctx.v->run_range(req, *ctx.view, begin, end, res);
+        if (ctx.bs) {
+          bool guard = !finite || req.guard.mode == robust::GuardMode::kFull ||
+                       !res.option_faults.empty();
+          if (req.faults.corrupt > 0.0) {
+            inject_corrupt_bs(*ctx.view, req.faults, begin, end);
+            guard = true;
           }
-          ctx.v->run_range(*ctx.req, *ctx.view, begin, end, *ctx.res);
-          if (ctx.req->faults.corrupt > 0.0) {
-            inject_corrupt_values({ctx.res->values.data() + begin, end - begin}, begin,
-                                  ctx.req->faults);
+          if (ctx.guard_on && guard) {
+            ctx.bs_repaired->fetch_add(robust::guard_and_repair_bs(
+                *ctx.view, req.guard, res.option_faults, begin, end));
+          }
+          slot = static_cast<std::uint8_t>(ChunkStatus::kOk);
+        } else {
+          if (req.faults.corrupt > 0.0) {
+            inject_corrupt_values({res.values.data() + begin, end - begin}, begin, req.faults);
           }
           if (ctx.guard_on &&
-              robust::guard_specs_range(
-                  ctx.view->specs.subspan(begin, end - begin),
-                  {ctx.res->values.data() + begin, end - begin}, ctx.req->guard,
-                  ctx.v->statistical, ctx.res->option_faults, begin) > 0) {
+              robust::guard_specs_range(ctx.view->specs.subspan(begin, end - begin),
+                                        {res.values.data() + begin, end - begin}, req.guard,
+                                        ctx.v->statistical, res.option_faults, begin) > 0) {
             ctx.errors->record("output guard failed");
             slot = static_cast<std::uint8_t>(ChunkStatus::kFailed);
           } else {
             slot = static_cast<std::uint8_t>(ChunkStatus::kOk);
           }
-        } catch (const std::exception& e) {
-          ctx.errors->record(e.what());
-          slot = static_cast<std::uint8_t>(ChunkStatus::kFailed);
-        } catch (...) {
-          ctx.errors->record("non-std exception from kernel");
-          slot = static_cast<std::uint8_t>(ChunkStatus::kFailed);
         }
-        const double end_us = obs::trace::now_us();
-        ctx.hist_chunk->record_seconds((end_us - start_us) * 1e-6);
-        obs::FlightRecord fr;
-        fr.request_id = ctx.res->request_id;
-        fr.chunk = static_cast<std::uint32_t>(c);
-        fr.worker = ThreadPool::current_participant();
-        fr.begin = begin;
-        fr.end = end;
-        fr.start_us = start_us;
-        fr.end_us = end_us;
-        fr.set_kernel(ctx.v->id.c_str());
-        fr.set_status(slot == static_cast<std::uint8_t>(ChunkStatus::kOk) ? "ok" : "failed");
-        ctx.flight->record(fr);
-      },
-      rd.schedule, site, cancel);
+      }
+    } catch (const std::exception& e) {
+      ctx.errors->record(e.what());
+      slot = static_cast<std::uint8_t>(ChunkStatus::kFailed);
+    } catch (...) {
+      ctx.errors->record("non-std exception from kernel");
+      slot = static_cast<std::uint8_t>(ChunkStatus::kFailed);
+    }
+    const double end_us = obs::trace::now_us();
+    ctx.hist_chunk->record_seconds((end_us - start_us) * 1e-6);
+    obs::FlightRecord fr;
+    fr.request_id = res.request_id;
+    fr.chunk = static_cast<std::uint32_t>(c);
+    fr.worker = ThreadPool::current_participant();
+    fr.begin = begin;
+    fr.end = end;
+    fr.start_us = start_us;
+    fr.end_us = end_us;
+    fr.set_kernel(ctx.v->id.c_str());
+    fr.set_status(slot == static_cast<std::uint8_t>(ChunkStatus::kOk) ? "ok"
+                  : slot == kChunkRescan                               ? "rescan"
+                                                                       : "failed");
+    ctx.flight->record(fr);
+  };
+  pool_->run(static_cast<std::ptrdiff_t>(nchunks), run_chunk, schedule, site, cancel);
+
+  // --- Deferred sanitization (faulty inputs only) --------------------------
+  // Chunks whose input check failed priced nothing. The full sanitizer
+  // then runs over the view exactly as an up-front scan would — same mask,
+  // counters and in-place repairs — and only those chunks run again.
+  if (scan_in_chunks) {
+    std::vector<std::size_t>& rerun = s.rerun_chunks;
+    rerun.clear();
+    for (std::size_t c = 0; c < nchunks; ++c) {
+      if (res.chunk_status[c] != kChunkRescan) continue;
+      res.chunk_status[c] = static_cast<std::uint8_t>(ChunkStatus::kNotRun);
+      rerun.push_back(c);
+    }
+    if (rerun.empty()) {
+      static obs::Counter& scanned = obs::counter("robust.sanitize.scanned");
+      scanned.add(n);
+      san.scanned = n;
+    } else {
+      robust::sanitize(working, req.sanitize, san);
+      res.option_faults = san.mask;
+      res.options_clamped = san.clamped;
+      res.options_skipped = san.skipped;
+      if (negotiated) core::copy_inputs(working, s.negotiated);
+      ctx.scan = false;
+      ctx.remap = rerun.data();
+      pool_->run(static_cast<std::ptrdiff_t>(rerun.size()), run_chunk, schedule, site, cancel);
+    }
+  }
+  res.options_repaired += bs_repaired.load();
 
   // --- Quarantine & fallback pass (serial, exceptional) --------------------
-  // Failed chunks re-price through the fallback chain's batch entry point
-  // on a sub-workload view; the repaired values are guarded again before
-  // they are accepted. Runs on the caller thread; a degraded repetition
-  // may allocate — only clean steady-state repetitions are guaranteed
+  // Failed kSpecs chunks re-price through the fallback chain's batch entry
+  // point on a sub-workload view, and the repaired values are guarded
+  // again before they are accepted; failed Black–Scholes chunks re-price
+  // with the closed form. Runs on the caller thread; a degraded repetition may
+  // allocate — only clean steady-state repetitions are guaranteed
   // allocation-free.
   std::size_t priced_items = 0;
   const bool expired = cancel != nullptr && cancel->expired();
@@ -743,6 +854,17 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
     fr.set_status(status);
     s.flight->record(fr);
   };
+  // Unpriced outputs read NaN, never a previous run's prices.
+  auto nan_fill = [&](std::size_t begin, std::size_t end) {
+    if (bs_chunked) {
+      for (std::size_t i = begin; i < end; ++i) {
+        robust::bs_store_outputs(*view, i, kQuietNan, kQuietNan);
+      }
+    } else {
+      std::fill(res.values.begin() + static_cast<std::ptrdiff_t>(begin),
+                res.values.begin() + static_cast<std::ptrdiff_t>(end), kQuietNan);
+    }
+  };
   for (std::size_t c = 0; c < nchunks; ++c) {
     auto status = static_cast<ChunkStatus>(res.chunk_status[c]);
     const std::size_t begin = bounds[c], end = bounds[c + 1];
@@ -750,14 +872,18 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
       res.chunk_status[c] = static_cast<std::uint8_t>(expired ? ChunkStatus::kDeadline
                                                               : ChunkStatus::kNotRun);
       ++res.chunks_deadline;
-      std::fill(res.values.begin() + static_cast<std::ptrdiff_t>(begin),
-                res.values.begin() + static_cast<std::ptrdiff_t>(end), kQuietNan);
+      nan_fill(begin, end);
       obs::counter("robust.deadline.chunks_skipped").add(1);
       record_flight(c, begin, end, expired ? "deadline" : "not_run");
       continue;
     }
     if (status == ChunkStatus::kFailed && req.fallback) {
       bool repaired = false;
+      if (bs_chunked) {
+        repair_bs_range(*view, begin, end);
+        res.options_repaired += end - begin;
+        repaired = true;
+      }
       for (const VariantInfo* fb = fallback_of(*v); fb != nullptr && !repaired;
            fb = fallback_of(*fb)) {
         if (fb->layout != Layout::kSpecs || fb->run_batch == nullptr) break;
@@ -801,11 +927,11 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
       priced_items += end - begin;
     } else {
       ++res.chunks_failed;
-      std::fill(res.values.begin() + static_cast<std::ptrdiff_t>(begin),
-                res.values.begin() + static_cast<std::ptrdiff_t>(end), kQuietNan);
+      nan_fill(begin, end);
     }
   }
 
+  if (negotiated) core::copy_outputs(*view, req.portfolio);
   aggregate(errors, priced_items);
 }
 

@@ -21,6 +21,9 @@ thread_local int t_pool_participant = -1;
 // Fork-join nesting depth on this thread: >0 while a spawned task runs,
 // so a task executed from inside another task counts as nested.
 thread_local int t_task_depth = 0;
+// The pool whose single-chunk run executes inline on this thread with its
+// workers still asleep: the chunk's first spawned task wakes them.
+thread_local ThreadPool* t_sleeping_pool = nullptr;
 }  // namespace
 
 int ThreadPool::current_participant() { return t_pool_participant; }
@@ -48,6 +51,15 @@ void ThreadPool::post_task(TaskNode* n) {
     task_tail_ = n;
   }
   task_cv_.notify_one();
+  if (t_sleeping_pool == this) {
+    t_sleeping_pool = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++gen_;
+      run_live_ = true;
+    }
+    cv_work_.notify_all();
+  }
 }
 
 ThreadPool::TaskNode* ThreadPool::try_pop_task() {
@@ -240,6 +252,11 @@ void ThreadPool::run(std::ptrdiff_t nchunks, const std::function<void(std::ptrdi
     return;
   }
 
+  if (nchunks == 1) {
+    run_single(fn, cancel);
+    return;
+  }
+
   std::lock_guard<std::mutex> submit(submit_mu_);
   fn_ = &fn;
   nchunks_ = nchunks;
@@ -307,6 +324,49 @@ void ThreadPool::run(std::ptrdiff_t nchunks, const std::function<void(std::ptrdi
       throw;  // non-std exception: nothing to annotate, rethrow as-is
     }
   }
+}
+
+void ThreadPool::run_single(const std::function<void(std::ptrdiff_t)>& fn,
+                            const robust::CancelToken* cancel) {
+  if (cancel != nullptr && cancel->expired()) return;
+  std::lock_guard<std::mutex> submit(submit_mu_);
+  // A run whose one ticket the caller already holds: workers woken by a
+  // spawned task find no chunk and only help drain tasks until it completes.
+  fn_ = &fn;
+  nchunks_ = 1;
+  sched_ = arch::Schedule::kDynamic;
+  cancel_ = cancel;
+  ticket_.store(1, std::memory_order_relaxed);
+  completed_.store(0, std::memory_order_relaxed);
+
+  const int caller_omp = omp_get_max_threads();
+  const std::uint32_t caller_fp = robust::save_fp_state();
+  omp_set_num_threads(1);
+  robust::install_denormal_ftz();
+  t_in_pool_run = true;
+  t_pool_participant = 0;
+  t_sleeping_pool = this;
+  std::exception_ptr error;
+  try {
+    fn(0);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  t_sleeping_pool = nullptr;
+  t_in_pool_run = false;
+  t_pool_participant = -1;
+  robust::restore_fp_state(caller_fp);
+  omp_set_num_threads(caller_omp);
+
+  completed_.store(1, std::memory_order_release);
+  notify_task_waiters();
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_done_.wait(lock, [&] { return active_workers_ == 0; });
+    run_live_ = false;
+  }
+  cancel_ = nullptr;
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace finbench::engine

@@ -69,6 +69,9 @@ struct Scratch {
   std::size_t bounds_n = 0;
   int bounds_nparts = -1;
   int bounds_sched = -1;
+  // Black–Scholes chunks whose deferred input check failed, re-run after
+  // the sanitizer (touched only by requests with faulty inputs).
+  std::vector<std::size_t> rerun_chunks;
 
   // --- Kernel scratch pools (engine-owned) ---------------------------------
   // Per-worker kernel temporaries — binomial lattices, Monte Carlo normal

@@ -133,7 +133,7 @@ double price_one_tasked(const core::OptionSpec& opt, int steps, Scratch& s) {
 }
 
 template <BatchFn K, Width W>
-void run_range(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
+bool run_range(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
                std::size_t end, PricingResult& res) {
   Scratch& s = scratch_of(req);
   core::ScratchPool* pool = &s.lattice_pool;
@@ -154,9 +154,10 @@ void run_range(const PricingRequest& req, const core::PortfolioView& view, std::
       }
       K(view.specs.subspan(o, 1), steps, {res.values.data() + o, 1}, W, pool);
     }
-    return;
+    return true;
   }
   K(view.specs.subspan(begin, end - begin), req.steps, out, W, pool);
+  return true;
 }
 
 template <BatchFn K, Width W>

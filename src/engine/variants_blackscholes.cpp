@@ -1,12 +1,16 @@
 // Registry adapters for the Black–Scholes kernel family (paper Fig. 4).
 //
-// These variants consume a whole Black–Scholes portfolio view and write
-// prices into its arrays (PricingResult::values stays empty: the kernel is
+// These variants consume a Black–Scholes portfolio view and write prices
+// into its arrays (PricingResult::values stays empty: the kernel is
 // bandwidth-bound, and copying millions of outputs would distort exactly
-// what Fig. 4 measures). They are whole-batch only — the kernels' internal
-// "#pragma omp parallel for" over the batch IS the experiment. A request
-// in the "wrong" BS layout is not an error: the engine negotiates it into
-// the view these adapters receive.
+// what Fig. 4 measures). run_batch is the kernels' whole-batch entry, whose
+// internal "#pragma omp parallel" over the batch IS the Fig. 4 experiment.
+// The SOA intermediate rows (bs.intermediate.{avx2,auto},
+// bs.intermediate_sp.auto) also have run_range: the engine prices them in
+// chunks on its pool, each chunk checking its inputs, pricing, and
+// reporting its in-register output probe. The other rows stay whole-batch.
+// A request in the "wrong" BS layout is not an error: the engine
+// negotiates it into the view these adapters receive.
 
 #include "finbench/kernels/blackscholes.hpp"
 #include "variants.hpp"
@@ -39,6 +43,12 @@ void run_intermediate(const PricingRequest&, const core::PortfolioView& view,
 }
 
 template <Width W>
+bool range_intermediate(const PricingRequest&, const core::PortfolioView& view,
+                        std::size_t begin, std::size_t end, PricingResult&) {
+  return kernels::bs::price_intermediate(view.soa, begin, end, W);
+}
+
+template <Width W>
 void run_advanced_vml(const PricingRequest& req, const core::PortfolioView& view,
                       PricingResult& res) {
   // The chunk temporaries (d1/d2/xexp/qlog) lease from the request's vml
@@ -56,6 +66,11 @@ void run_intermediate_sp(const PricingRequest&, const core::PortfolioView& view,
   kernels::bs::price_intermediate_sp(view.sp, WidthF::kAuto);
   res.items = view.sp.size();
   res.ok = true;
+}
+
+bool range_intermediate_sp(const PricingRequest&, const core::PortfolioView& view,
+                           std::size_t begin, std::size_t end, PricingResult&) {
+  return kernels::bs::price_intermediate_sp(view.sp, begin, end, WidthF::kAuto);
 }
 
 template <Width W>
@@ -118,6 +133,7 @@ void register_blackscholes(Registry& r) {
                          "SOA + 4-wide SIMD across options, erf substitution, put via parity");
     v.tolerance = 1e-9;
     v.run_batch = run_intermediate<Width::kAvx2>;
+    v.run_range = range_intermediate<Width::kAvx2>;
     r.add(std::move(v));
   }
   {
@@ -125,6 +141,7 @@ void register_blackscholes(Registry& r) {
                          "SOA + widest SIMD across options, erf substitution, put via parity");
     v.tolerance = 1e-9;
     v.run_batch = run_intermediate<Width::kAuto>;
+    v.run_range = range_intermediate<Width::kAuto>;
     r.add(std::move(v));
   }
   {
@@ -152,6 +169,7 @@ void register_blackscholes(Registry& r) {
     v.tolerance = 1e-3;  // SP arithmetic vs the DP reference
     v.bytes_per_item = bytes_sp;
     v.run_batch = run_intermediate_sp;
+    v.run_range = range_intermediate_sp;
     r.add(std::move(v));
   }
   // --- Register-tiled blocked (AoSoA) family ------------------------------

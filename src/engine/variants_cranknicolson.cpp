@@ -39,10 +39,11 @@ double item_cost(const core::OptionSpec& o, const PricingRequest&) {
 }
 
 template <Variant V, Width W>
-void run_range(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
+bool run_range(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
                std::size_t end, PricingResult& res) {
   kernels::cn::price_batch(view.specs.subspan(begin, end - begin), grid_of(req), V,
                            {res.values.data() + begin, end - begin}, W);
+  return true;
 }
 
 template <Variant V, Width W>
@@ -91,7 +92,7 @@ void tasked_wave_runner(void* ctx_p, kernels::cn::WaveSweep* sweeps, int n) {
   group.join();
 }
 
-void run_range_tasked(const PricingRequest& req, const core::PortfolioView& view,
+bool run_range_tasked(const PricingRequest& req, const core::PortfolioView& view,
                       std::size_t begin, std::size_t end, PricingResult& res) {
   static obs::Counter& priced = obs::counter("cn.options_priced");
   priced.add(end - begin);
@@ -104,6 +105,7 @@ void run_range_tasked(const PricingRequest& req, const core::PortfolioView& view
                                             tasked_wave_runner, &ctx)
             .price;
   }
+  return true;
 }
 
 void run_batch_tasked(const PricingRequest& req, const core::PortfolioView& view,

@@ -97,12 +97,13 @@ void basic_stream_w(std::span<const core::OptionSpec> o, std::span<const double>
 }
 
 template <StreamFn K, Width W>
-void stream_range(const PricingRequest& req, const core::PortfolioView& view,
+bool stream_range(const PricingRequest& req, const core::PortfolioView& view,
                   std::size_t begin, std::size_t end, PricingResult& res) {
   Scratch& s = *req.scratch;  // built by prepare_stream
   std::span<McResult> mc{s.mc.data() + begin, end - begin};
   K(view.specs.subspan(begin, end - begin), s.z, req.npath, mc, W);
   store(mc, begin, res);
+  return true;
 }
 
 template <StreamFn K, Width W>
@@ -132,13 +133,12 @@ constexpr std::size_t kMcTaskBlock = 8192;  // min paths per leaf task
 constexpr int kMcMaxBlocks = 64;            // TaskGroup capacity
 
 template <Width W>
-void stream_range_tasked(const PricingRequest& req, const core::PortfolioView& view,
+bool stream_range_tasked(const PricingRequest& req, const core::PortfolioView& view,
                          std::size_t begin, std::size_t end, PricingResult& res) {
   Scratch& s = *req.scratch;  // built by prepare_stream
   const std::size_t npath = req.npath;
   if (!s.tasks_on || s.task_pool == nullptr || npath < 2 * kMcTaskBlock) {
-    stream_range<kernels::mc::price_optimized_stream, W>(req, view, begin, end, res);
-    return;
+    return stream_range<kernels::mc::price_optimized_stream, W>(req, view, begin, end, res);
   }
   static obs::Counter& paths = obs::counter("mc.paths");
   paths.add((end - begin) * npath);
@@ -172,6 +172,7 @@ void stream_range_tasked(const PricingRequest& req, const core::PortfolioView& v
     mc[o - begin] = kernels::mc::finalize_moments(opt, total, npath);
   }
   store(mc, begin, res);
+  return true;
 }
 
 using ComputedFn = void (*)(std::span<const core::OptionSpec>, std::size_t, std::uint64_t,
@@ -195,12 +196,13 @@ void variance_reduced_w(std::span<const core::OptionSpec> o, std::size_t n, std:
 }
 
 template <ComputedFn K, Width W>
-void computed_range(const PricingRequest& req, const core::PortfolioView& view,
+bool computed_range(const PricingRequest& req, const core::PortfolioView& view,
                     std::size_t begin, std::size_t end, PricingResult& res) {
   Scratch& s = *req.scratch;  // built by prepare_computed
   std::span<McResult> mc{s.mc.data() + begin, end - begin};
   K(view.specs.subspan(begin, end - begin), req.npath, req.seed, mc, W, begin, &s.rng_pool);
   store(mc, begin, res);
+  return true;
 }
 
 template <ComputedFn K, Width W>

@@ -1,5 +1,8 @@
 #include "finbench/kernels/blackscholes.hpp"
 
+#include <immintrin.h>
+#include <omp.h>
+
 #include <cassert>
 #include <cmath>
 #include <cstddef>
@@ -81,28 +84,53 @@ void price_basic(core::BsAosView batch) {
 
 namespace {
 
-// One option per SIMD lane; cnd via erf (cheaper, same accuracy — the
-// paper's SVML substitution) and the put derived from call/put parity.
+// Interior range boundaries of the exhibit entries' OpenMP split: a
+// multiple of every lane count (8 DP, 16 SP), so aligned loads hold and
+// no interior range has a scalar tail.
+constexpr std::ptrdiff_t kRangeAlign = 16;
+
+// Splits [0, n) into one contiguous range per OpenMP thread, with interior
+// boundaries on multiples of `align`, and runs body(begin, end) on each —
+// the exhibit entries' parallel loop over their range bodies. Only the last
+// range can end off the alignment, so the scalar tail stays where the
+// whole-batch loop put it.
+template <class Body>
+void omp_split(std::ptrdiff_t n, std::ptrdiff_t align, Body body) {
+  const std::ptrdiff_t groups = n / align;
+#pragma omp parallel
+  {
+    const std::ptrdiff_t t = omp_get_thread_num(), nt = omp_get_num_threads();
+    const std::ptrdiff_t begin = groups * t / nt * align;
+    const std::ptrdiff_t end = t + 1 == nt ? n : groups * (t + 1) / nt * align;
+    if (begin < end) body(begin, end);
+  }
+}
+
+// One option per SIMD lane over options [begin, end); cnd via erf (cheaper,
+// same accuracy — the paper's SVML substitution) and the put derived from
+// call/put parity. Returns whether every output is finite, from a probe
+// accumulated in registers as the outputs are stored (a NaN or infinity
+// turns c*0 + p*0 into NaN), so no guard pass has to re-read the streamed
+// outputs. `begin` must be W-aligned for the aligned loads.
 template <int W, bool HasDividend>
-void price_soa_width(const core::BsSoaView& batch) {
+bool price_soa_range(const core::BsSoaView& batch, std::ptrdiff_t begin, std::ptrdiff_t end) {
   using V = simd::Vec<double, W>;
   const V r(batch.rate);
   const V q(batch.dividend);
   const V sig(batch.vol);
   const V sig22(batch.vol * batch.vol / 2);
-  const V half(0.5), one(1.0);
+  const V half(0.5), one(1.0), zero(0.0);
   const V inv_sqrt2(0.70710678118654752440);
 
-  const std::ptrdiff_t nopt = static_cast<std::ptrdiff_t>(batch.size());
   const double* s = batch.spot.data();
   const double* k = batch.strike.data();
   const double* t = batch.years.data();
   double* call = batch.call.data();
   double* put = batch.put.data();
 
-  const std::ptrdiff_t vec_end = nopt - nopt % W;
-#pragma omp parallel for schedule(static)
-  for (std::ptrdiff_t i = 0; i < vec_end; i += W) {
+  V probe(0.0);
+  const std::ptrdiff_t vec_end = end - (end - begin) % W;
+  for (std::ptrdiff_t i = begin; i < vec_end; i += W) {
     const V S = V::load(s + i);
     const V K = V::load(k + i);
     const V T = V::load(t + i);
@@ -121,22 +149,44 @@ void price_soa_width(const core::BsSoaView& batch) {
     const V nd1 = fmadd(vecmath::erf(d1 * inv_sqrt2), half, half);
     const V nd2 = fmadd(vecmath::erf(d2 * inv_sqrt2), half, half);
     const V c = fmsub(sq, nd1, xexp * nd2);
+    const V p = c - sq + xexp;  // put from call/put parity
     c.stream(call + i);
-    (c - sq + xexp).stream(put + i);  // put from call/put parity
+    p.stream(put + i);
+    probe = probe + (c * zero + p * zero);
   }
   // Scalar tail.
-  for (std::ptrdiff_t i = vec_end; i < nopt; ++i) {
+  double tail_probe = 0.0;
+  for (std::ptrdiff_t i = vec_end; i < end; ++i) {
     const core::BsPrice p = core::black_scholes(s[i], k[i], t[i], batch.rate, batch.vol,
                                                 batch.dividend);
     call[i] = p.call;
     put[i] = p.put;
+    tail_probe += p.call * 0.0 + p.put * 0.0;
   }
+  _mm_sfence();  // streamed outputs visible before the caller reads them
+  return std::isfinite(simd::hsum(probe) + tail_probe);
 }
 
 template <int W>
-void price_soa_dispatch_q(const core::BsSoaView& batch) {
-  if (batch.dividend != 0.0) price_soa_width<W, true>(batch);
-  else price_soa_width<W, false>(batch);
+bool price_soa_range_q(const core::BsSoaView& batch, std::ptrdiff_t begin, std::ptrdiff_t end) {
+  if (batch.dividend != 0.0) return price_soa_range<W, true>(batch, begin, end);
+  return price_soa_range<W, false>(batch, begin, end);
+}
+
+bool price_soa(const core::BsSoaView& batch, std::ptrdiff_t begin, std::ptrdiff_t end,
+               Width w) {
+  switch (w) {
+    case Width::kScalar: return price_soa_range_q<1>(batch, begin, end);
+    case Width::kAvx2: return price_soa_range_q<4>(batch, begin, end);
+#if defined(FINBENCH_HAVE_AVX512)
+    case Width::kAvx512:
+    case Width::kAuto: return price_soa_range_q<8>(batch, begin, end);
+#else
+    case Width::kAvx512:
+    case Width::kAuto: return price_soa_range_q<4>(batch, begin, end);
+#endif
+  }
+  return false;
 }
 
 }  // namespace
@@ -144,17 +194,15 @@ void price_soa_dispatch_q(const core::BsSoaView& batch) {
 void price_intermediate(core::BsSoaView batch, Width w) {
   static obs::Counter& priced = obs::counter("bs.options_priced");
   priced.add(batch.size());
-  switch (w) {
-    case Width::kScalar: price_soa_dispatch_q<1>(batch); return;
-    case Width::kAvx2: price_soa_dispatch_q<4>(batch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: price_soa_dispatch_q<8>(batch); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: price_soa_dispatch_q<4>(batch); return;
-#endif
-  }
+  omp_split(static_cast<std::ptrdiff_t>(batch.size()), kRangeAlign,
+            [&](std::ptrdiff_t b, std::ptrdiff_t e) { price_soa(batch, b, e, w); });
+}
+
+bool price_intermediate(core::BsSoaView batch, std::size_t begin, std::size_t end, Width w) {
+  static obs::Counter& priced = obs::counter("bs.options_priced");
+  priced.add(end - begin);
+  return price_soa(batch, static_cast<std::ptrdiff_t>(begin), static_cast<std::ptrdiff_t>(end),
+                   w);
 }
 
 // --- Advanced: VML-style whole-array passes --------------------------------
@@ -396,24 +444,25 @@ void implied_vol_intermediate(core::BsSoaCView batch,
 
 namespace {
 
+// The single-precision range body: same shape and probe as
+// price_soa_range, over float lanes.
 template <int W>
-void price_sp_width(const core::BsSoaFView& batch) {
+bool price_sp_range(const core::BsSoaFView& batch, std::ptrdiff_t begin, std::ptrdiff_t end) {
   using V = simd::Vec<float, W>;
   const V r(batch.rate);
   const V sig(batch.vol);
   const V sig22(batch.vol * batch.vol / 2);
-  const V one(1.0f);
+  const V one(1.0f), zero(0.0f);
 
-  const std::ptrdiff_t nopt = static_cast<std::ptrdiff_t>(batch.size());
   const float* s = batch.spot.data();
   const float* k = batch.strike.data();
   const float* t = batch.years.data();
   float* call = batch.call.data();
   float* put = batch.put.data();
 
-  const std::ptrdiff_t vec_end = nopt - nopt % W;
-#pragma omp parallel for schedule(static)
-  for (std::ptrdiff_t i = 0; i < vec_end; i += W) {
+  V probe(0.0f);
+  const std::ptrdiff_t vec_end = end - (end - begin) % W;
+  for (std::ptrdiff_t i = begin; i < vec_end; i += W) {
     const V S = V::load(s + i);
     const V K = V::load(k + i);
     const V T = V::load(t + i);
@@ -425,10 +474,16 @@ void price_sp_width(const core::BsSoaFView& batch) {
     const V nd1 = vecmath::cndf(d1);
     const V nd2 = vecmath::cndf(d2);
     const V c = S * nd1 - xexp * nd2;
+    const V p = c - S + xexp;  // call/put parity
     c.stream(call + i);
-    (c - S + xexp).stream(put + i);  // call/put parity
+    p.stream(put + i);
+    probe = probe + (c * zero + p * zero);
   }
-  for (std::ptrdiff_t i = vec_end; i < nopt; ++i) {
+  float lanes[W];
+  probe.storeu(lanes);
+  float sum = 0.0f;
+  for (float x : lanes) sum += x;
+  for (std::ptrdiff_t i = vec_end; i < end; ++i) {
     using V1 = simd::Vec<float, 1>;
     const V1 qlog = vecmath::logf(V1(s[i] / k[i]));
     const float denom = 1.0f / (batch.vol * std::sqrt(t[i]));
@@ -439,23 +494,39 @@ void price_sp_width(const core::BsSoaFView& batch) {
     const float nd2 = vecmath::cndf(V1(d2)).v;
     call[i] = s[i] * nd1 - xexp * nd2;
     put[i] = call[i] - s[i] + xexp;
+    sum += call[i] * 0.0f + put[i] * 0.0f;
   }
+  _mm_sfence();
+  return std::isfinite(sum);
+}
+
+bool price_sp(const core::BsSoaFView& batch, std::ptrdiff_t begin, std::ptrdiff_t end,
+              WidthF w) {
+  switch (w) {
+    case WidthF::kScalar: return price_sp_range<1>(batch, begin, end);
+    case WidthF::kAvx2: return price_sp_range<8>(batch, begin, end);
+#if defined(FINBENCH_HAVE_AVX512)
+    case WidthF::kAvx512:
+    case WidthF::kAuto: return price_sp_range<16>(batch, begin, end);
+#else
+    case WidthF::kAvx512:
+    case WidthF::kAuto: return price_sp_range<8>(batch, begin, end);
+#endif
+  }
+  return false;
 }
 
 }  // namespace
 
 void price_intermediate_sp(core::BsSoaFView batch, WidthF w) {
-  switch (w) {
-    case WidthF::kScalar: price_sp_width<1>(batch); return;
-    case WidthF::kAvx2: price_sp_width<8>(batch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case WidthF::kAvx512:
-    case WidthF::kAuto: price_sp_width<16>(batch); return;
-#else
-    case WidthF::kAvx512:
-    case WidthF::kAuto: price_sp_width<8>(batch); return;
-#endif
-  }
+  omp_split(static_cast<std::ptrdiff_t>(batch.size()), kRangeAlign,
+            [&](std::ptrdiff_t b, std::ptrdiff_t e) { price_sp(batch, b, e, w); });
+}
+
+bool price_intermediate_sp(core::BsSoaFView batch, std::size_t begin, std::size_t end,
+                           WidthF w) {
+  return price_sp(batch, static_cast<std::ptrdiff_t>(begin), static_cast<std::ptrdiff_t>(end),
+                  w);
 }
 
 }  // namespace finbench::kernels::bs

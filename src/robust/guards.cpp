@@ -5,11 +5,13 @@
 
 #include "finbench/robust/guards.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "finbench/core/analytic.hpp"
 #include "finbench/obs/metrics.hpp"
 #include "finbench/robust/sanitize.hpp"
+#include "scan.hpp"
 
 namespace finbench::robust {
 
@@ -180,32 +182,71 @@ void bs_store_inputs(const core::PortfolioView& view, std::size_t i, double spot
   }
 }
 
+namespace {
+
+// True when every call and put in [begin, end) of a BS view is finite.
+bool bs_outputs_finite(const core::PortfolioView& view, std::size_t begin, std::size_t end) {
+  const std::size_t n = end - begin;
+  switch (view.layout) {
+    case core::Layout::kBsSoa:
+      return scan::all_finite(view.soa.call.data() + begin, n) &
+             scan::all_finite(view.soa.put.data() + begin, n);
+    case core::Layout::kBsSoaF:
+      return scan::all_finite(view.sp.call.data() + begin, n) &
+             scan::all_finite(view.sp.put.data() + begin, n);
+    case core::Layout::kBsAos:
+    case core::Layout::kBsBlocked: {
+      bool ok = true;
+      for (std::size_t i = begin; i < end; ++i) {
+        const BsElem e = bs_elem(view, i);
+        ok &= std::isfinite(e.call) & std::isfinite(e.put);
+      }
+      return ok;
+    }
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
 std::size_t guard_and_repair_bs(const core::PortfolioView& view, const GuardPolicy& policy,
                                 std::span<const std::uint8_t> mask) {
+  return guard_and_repair_bs(view, policy, mask, 0, view.size());
+}
+
+std::size_t guard_and_repair_bs(const core::PortfolioView& view, const GuardPolicy& policy,
+                                std::span<const std::uint8_t> mask, std::size_t begin,
+                                std::size_t end) {
   if (policy.mode == GuardMode::kOff || !is_bs_layout(view)) return 0;
   // BS batch kernels price both legs of a European vanilla analytically:
   // deterministic, so kFull bounds apply. The f32 layout's extra rounding
   // is orders of magnitude inside the default slack.
   const bool bounds = policy.mode == GuardMode::kFull;
-  const std::size_t n = view.size();
   std::size_t violations = 0, repaired = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (masked_out(mask, i)) continue;
-    const BsElem e = bs_elem(view, i);
-    bool bad = !std::isfinite(e.call) || !std::isfinite(e.put);
-    if (!bad && bounds) {
-      bad = !in_bounds(e.call, /*is_call=*/true, e.spot, e.strike, e.years, e.rate, e.vol,
-                       e.dividend, policy.bound_slack) ||
-            !in_bounds(e.put, /*is_call=*/false, e.spot, e.strike, e.years, e.rate, e.vol,
-                       e.dividend, policy.bound_slack);
-    }
-    if (!bad) continue;
-    ++violations;
-    const core::BsPrice p = core::black_scholes(e.spot, e.strike, e.years, e.rate, e.vol,
-                                                e.dividend);
-    if (std::isfinite(p.call) && std::isfinite(p.put)) {
-      bs_store_outputs(view, i, p.call, p.put);
-      ++repaired;
+  for (std::size_t b = begin; b < end; b += scan::kBlock) {
+    const std::size_t block_end = std::min(end, b + scan::kBlock);
+    // Finite-only mode skips a clean block after one vector scan; only a
+    // block holding a non-finite output takes the per-option path.
+    if (!bounds && bs_outputs_finite(view, b, block_end)) continue;
+    for (std::size_t i = b; i < block_end; ++i) {
+      if (masked_out(mask, i)) continue;
+      const BsElem e = bs_elem(view, i);
+      bool bad = !std::isfinite(e.call) || !std::isfinite(e.put);
+      if (!bad && bounds) {
+        bad = !in_bounds(e.call, /*is_call=*/true, e.spot, e.strike, e.years, e.rate, e.vol,
+                         e.dividend, policy.bound_slack) ||
+              !in_bounds(e.put, /*is_call=*/false, e.spot, e.strike, e.years, e.rate, e.vol,
+                         e.dividend, policy.bound_slack);
+      }
+      if (!bad) continue;
+      ++violations;
+      const core::BsPrice p = core::black_scholes(e.spot, e.strike, e.years, e.rate, e.vol,
+                                                  e.dividend);
+      if (std::isfinite(p.call) && std::isfinite(p.put)) {
+        bs_store_outputs(view, i, p.call, p.put);
+        ++repaired;
+      }
     }
   }
   count_guard(violations, repaired);

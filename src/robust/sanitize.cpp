@@ -10,6 +10,7 @@
 #include <cmath>
 
 #include "finbench/obs/metrics.hpp"
+#include "scan.hpp"
 
 namespace finbench::robust {
 
@@ -148,6 +149,42 @@ constexpr double field_floor(const SanitizeEnvelope& env) {
   }
 }
 
+// Branch-free envelope check of options [b, e): true exactly when
+// classify_positive passes spot, strike and years of every option (the
+// bounds exclude NaN, infinities, zero, negatives and denormals at once).
+template <class View>
+bool range_clean(const View& v, std::size_t b, std::size_t e, double floor,
+                 const SanitizeEnvelope& env) {
+  if constexpr (std::is_same_v<View, core::BsSoaView>) {
+    const std::size_t n = e - b;
+    return scan::all_within(v.spot.data() + b, n, floor, env.max_magnitude) &
+           scan::all_within(v.strike.data() + b, n, floor, env.max_magnitude) &
+           scan::all_within(v.years.data() + b, n, floor, env.max_years);
+  } else if constexpr (std::is_same_v<View, core::BsSoaFView>) {
+    const std::size_t n = e - b;
+    const float lo = scan::float_floor(floor);
+    const float mag = scan::float_ceil(env.max_magnitude);
+    return scan::all_within(v.spot.data() + b, n, lo, mag) &
+           scan::all_within(v.strike.data() + b, n, lo, mag) &
+           scan::all_within(v.years.data() + b, n, lo, scan::float_ceil(env.max_years));
+  } else {
+    bool ok = true;
+    for (std::size_t i = b; i < e; ++i) {
+      const BsFields f = BsAccess<View>::load(v, i);
+      ok &= (f.spot >= floor) & (f.spot <= env.max_magnitude) & (f.strike >= floor) &
+            (f.strike <= env.max_magnitude) & (f.years >= floor) & (f.years <= env.max_years);
+    }
+    return ok;
+  }
+}
+
+std::uint8_t classify_shared(double rate, double vol, double dividend,
+                             const SanitizeEnvelope& env) {
+  return classify_rate(rate, env.max_abs_rate) |
+         classify_positive(vol, env.max_vol, env.min_positive) |
+         classify_rate(dividend, env.max_abs_rate);
+}
+
 template <class View>
 void sanitize_bs(View& v, double& rate, double& vol, double* dividend, SanitizePolicy policy,
                  SanitizeReport& out, const SanitizeEnvelope& env) {
@@ -155,9 +192,8 @@ void sanitize_bs(View& v, double& rate, double& vol, double* dividend, SanitizeP
   out.scanned = n;
 
   // Shared batch parameters first: a faulty rate/vol poisons every option.
-  std::uint8_t shared = classify_rate(rate, env.max_abs_rate);
-  shared |= classify_positive(vol, env.max_vol, env.min_positive);
-  if (dividend != nullptr) shared |= classify_rate(*dividend, env.max_abs_rate);
+  const std::uint8_t shared =
+      classify_shared(rate, vol, dividend != nullptr ? *dividend : 0.0, env);
   const bool shared_nonfinite = (shared & kFaultNonFinite) != 0;
   const bool repair = policy == SanitizePolicy::kClamp || policy == SanitizePolicy::kSkip;
   if (shared != kFaultNone && repair) {
@@ -182,31 +218,38 @@ void sanitize_bs(View& v, double& rate, double& vol, double* dividend, SanitizeP
     }
   }
 
+  // Two speeds: a block whose options all pass the branch-free envelope
+  // check is skipped; only a dirty block takes the per-element path below,
+  // which classifies, repairs and records exactly as a full scan would.
   const double floor = field_floor<View>(env);
-  for (std::size_t i = 0; i < n; ++i) {
-    BsFields f = BsAccess<View>::load(v, i);
-    std::uint8_t bits = shared;
-    bits |= classify_positive(f.spot, env.max_magnitude, floor);
-    bits |= classify_positive(f.strike, env.max_magnitude, floor);
-    bits |= classify_positive(f.years, env.max_years, floor);
-    if (bits == kFaultNone) continue;
+  for (std::size_t b = 0; b < n; b += scan::kBlock) {
+    const std::size_t e = std::min(n, b + scan::kBlock);
+    if (shared == kFaultNone && range_clean(v, b, e, floor, env)) continue;
+    for (std::size_t i = b; i < e; ++i) {
+      BsFields f = BsAccess<View>::load(v, i);
+      std::uint8_t bits = shared;
+      bits |= classify_positive(f.spot, env.max_magnitude, floor);
+      bits |= classify_positive(f.strike, env.max_magnitude, floor);
+      bits |= classify_positive(f.years, env.max_years, floor);
+      if (bits == kFaultNone) continue;
 
-    ++out.faulty;
-    std::uint8_t* mask = mask_for(out, n);
-    const bool nonfinite = ((bits & kFaultNonFinite) != 0) || shared_nonfinite;
-    if (policy == SanitizePolicy::kClamp && !nonfinite) {
-      f.spot = clamp_positive(f.spot, env.max_magnitude, floor);
-      f.strike = clamp_positive(f.strike, env.max_magnitude, floor);
-      f.years = clamp_positive(f.years, env.max_years, floor);
-      BsAccess<View>::store(v, i, f);
-      bits |= kFaultClamped;
-      ++out.clamped;
-    } else if (repair) {
-      BsAccess<View>::store(v, i, {kPlaceholder.spot, kPlaceholder.strike, kPlaceholder.years});
-      bits |= kFaultSkipped;
-      ++out.skipped;
+      ++out.faulty;
+      std::uint8_t* mask = mask_for(out, n);
+      const bool nonfinite = ((bits & kFaultNonFinite) != 0) || shared_nonfinite;
+      if (policy == SanitizePolicy::kClamp && !nonfinite) {
+        f.spot = clamp_positive(f.spot, env.max_magnitude, floor);
+        f.strike = clamp_positive(f.strike, env.max_magnitude, floor);
+        f.years = clamp_positive(f.years, env.max_years, floor);
+        BsAccess<View>::store(v, i, f);
+        bits |= kFaultClamped;
+        ++out.clamped;
+      } else if (repair) {
+        BsAccess<View>::store(v, i, {kPlaceholder.spot, kPlaceholder.strike, kPlaceholder.years});
+        bits |= kFaultSkipped;
+        ++out.skipped;
+      }
+      mask[i] = bits;
     }
-    mask[i] = bits;
   }
 }
 
@@ -264,6 +307,38 @@ void sanitize(core::PortfolioView& view, SanitizePolicy policy, SanitizeReport& 
       break;
   }
   count_scan(out);
+}
+
+bool bs_shared_clean(const core::PortfolioView& view, const SanitizeEnvelope& env) {
+  switch (view.layout) {
+    case core::Layout::kBsAos:
+      return classify_shared(view.aos.rate, view.aos.vol, view.aos.dividend, env) == kFaultNone;
+    case core::Layout::kBsSoa:
+      return classify_shared(view.soa.rate, view.soa.vol, view.soa.dividend, env) == kFaultNone;
+    case core::Layout::kBsSoaF:
+      return classify_shared(view.sp.rate, view.sp.vol, 0.0, env) == kFaultNone;
+    case core::Layout::kBsBlocked:
+      return classify_shared(view.blocked.rate, view.blocked.vol, view.blocked.dividend, env) ==
+             kFaultNone;
+    default:
+      return false;
+  }
+}
+
+bool bs_inputs_clean(const core::PortfolioView& view, std::size_t begin, std::size_t end,
+                     const SanitizeEnvelope& env) {
+  switch (view.layout) {
+    case core::Layout::kBsAos:
+      return range_clean(view.aos, begin, end, field_floor<core::BsAosView>(env), env);
+    case core::Layout::kBsSoa:
+      return range_clean(view.soa, begin, end, field_floor<core::BsSoaView>(env), env);
+    case core::Layout::kBsSoaF:
+      return range_clean(view.sp, begin, end, field_floor<core::BsSoaFView>(env), env);
+    case core::Layout::kBsBlocked:
+      return range_clean(view.blocked, begin, end, field_floor<core::BsBlockedView>(env), env);
+    default:
+      return false;
+  }
 }
 
 void sanitize_specs(std::span<const core::OptionSpec> src, std::span<core::OptionSpec> dst,

@@ -1,22 +1,32 @@
 // Tests for the kernel registry and batched pricing engine: id hygiene and
 // metadata invariants, registry self-validation, chunked-vs-whole-batch
 // equivalence (the RNG-substream and lattice adapters must make chunking
-// invisible), scheduling knobs, and the dynamic-schedule imbalance win on a
-// maturity-sorted heterogeneous portfolio.
+// invisible), scheduling knobs, the dynamic-schedule imbalance win on a
+// maturity-sorted heterogeneous portfolio, and Black–Scholes chunks on the
+// pool (bitwise parity, fused sanitize/guard, faults, deadlines).
+
+#include <omp.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "finbench/core/analytic.hpp"
 #include "finbench/core/portfolio.hpp"
 #include "finbench/core/workload.hpp"
 #include "finbench/engine/engine.hpp"
 #include "finbench/engine/registry.hpp"
 #include "finbench/engine/validate.hpp"
+#include "finbench/kernels/blackscholes.hpp"
 #include "finbench/obs/metrics.hpp"
+#include "finbench/robust/denormal.hpp"
+#include "finbench/robust/guards.hpp"
+#include "finbench/robust/sanitize.hpp"
 
 using namespace finbench;
 using engine::Engine;
@@ -170,9 +180,8 @@ TEST(Engine, HeterogeneousStepsPerYearPricesEachExpiryAtItsOwnDepth) {
   EXPECT_TRUE(any_diff);
 }
 
-// Black–Scholes batches have no run_range adapter: the engine falls back
-// to the kernel's native whole-batch entry (prices land in the request's
-// batch arrays, values stays empty).
+// A Black–Scholes request in its native layout prices straight into the
+// request's batch arrays (values stays empty).
 TEST(Engine, BatchLayoutFallsThroughToNativeKernel) {
   auto soa = core::make_bs_workload_soa(512, 21);
   PricingRequest req;
@@ -239,4 +248,313 @@ TEST(Engine, DynamicScheduleReducesImbalanceOnSortedMixedExpiryPortfolio) {
   ASSERT_GT(dyn, 0.0);
   if (stat < 1.3) GTEST_SKIP() << "static skew did not manifest (imbalance " << stat << ")";
   EXPECT_LT(dyn, stat) << "dynamic=" << dyn << " static=" << stat;
+}
+
+// --- Black–Scholes chunks on the engine pool ---------------------------------
+
+namespace {
+
+using robust::SanitizePolicy;
+using robust::StatusCode;
+
+// The engine's Black–Scholes chunk: a request of at least kChunk options
+// per pool participant is priced in kChunk-option chunks.
+constexpr std::size_t kChunk = 16384;
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// Runs f on the calling thread under the engine pool's treatment: FTZ+DAZ
+// and a one-thread OpenMP team, so a whole-batch kernel computes exactly as
+// the engine's chunks do.
+template <class F>
+void as_pool_participant(F&& f) {
+  const std::uint32_t fp = robust::save_fp_state();
+  const int omp = omp_get_max_threads();
+  robust::install_denormal_ftz();
+  omp_set_num_threads(1);
+  f();
+  omp_set_num_threads(omp);
+  robust::restore_fp_state(fp);
+}
+
+}  // namespace
+
+TEST(EngineBsChunks, SoaMatchesDirectKernelBitwiseAcrossChunkEdges) {
+  engine::ThreadPool pool(4);
+  Engine eng(&pool);
+  for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{9},
+                        kChunk - 1, kChunk + 1, (std::size_t{1} << 20) + 3}) {
+    for (double dividend : {0.0, 0.03}) {
+      auto direct = core::make_bs_workload_soa(n, 41);
+      direct.dividend = dividend;
+      auto priced = direct;
+      kernels::bs::price_intermediate(direct);
+
+      PricingRequest req;
+      req.kernel_id = "bs.intermediate.auto";
+      req.portfolio = core::view_of(priced);
+      const PricingResult res = eng.price(req);
+      ASSERT_TRUE(res.ok) << n << ": " << res.error;
+      EXPECT_EQ(res.items, n);
+      if (n > 4 * kChunk) {
+        EXPECT_EQ(res.chunk_status.size(), (n + kChunk - 1) / kChunk);
+      }
+      std::size_t diff = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        diff += !same_bits(priced.call[i], direct.call[i]) ||
+                !same_bits(priced.put[i], direct.put[i]);
+      }
+      EXPECT_EQ(diff, 0u) << "n=" << n << " dividend=" << dividend;
+    }
+  }
+}
+
+TEST(EngineBsChunks, SinglePrecisionSoaMatchesDirectKernelBitwise) {
+  engine::ThreadPool pool(4);
+  Engine eng(&pool);
+  for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{9},
+                        kChunk - 1, kChunk + 1, (std::size_t{1} << 20) + 3}) {
+    auto direct = core::to_single(core::make_bs_workload_soa(n, 43));
+    auto priced = direct;
+    kernels::bs::price_intermediate_sp(direct);
+
+    PricingRequest req;
+    req.kernel_id = "bs.intermediate_sp.auto";
+    req.portfolio = core::view_of(priced);
+    const PricingResult res = eng.price(req);
+    ASSERT_TRUE(res.ok) << n << ": " << res.error;
+    std::size_t diff = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      diff += !same_bits(priced.call[i], direct.call[i]) ||
+              !same_bits(priced.put[i], direct.put[i]);
+    }
+    EXPECT_EQ(diff, 0u) << "n=" << n;
+  }
+}
+
+// Faulty spots planted in the first, a middle and the last chunk: the
+// chunked path (input check per chunk, sanitizer on demand, re-run of the
+// flagged chunks) must land exactly where the serial sequence
+// sanitize -> run_batch -> guard_and_repair_bs does.
+TEST(EngineBsChunks, FaultyBooksMatchTheSerialSanitizeKernelGuardSequence) {
+  const std::size_t n = 3 * kChunk + 100;
+  const std::size_t planted[] = {5, kChunk + 11, n - 3};
+  const double bad_spots[] = {std::numeric_limits<double>::quiet_NaN(), -42.0, 1e-310};
+  const engine::VariantInfo* v = Registry::instance().find("bs.intermediate.auto");
+  ASSERT_NE(v, nullptr);
+  engine::ThreadPool pool(4);
+  Engine eng(&pool);
+
+  for (SanitizePolicy policy :
+       {SanitizePolicy::kSkip, SanitizePolicy::kClamp, SanitizePolicy::kReject}) {
+    for (double bad : bad_spots) {
+      auto book = core::make_bs_workload_soa(n, 47);
+      for (std::size_t i : planted) book.spot[i] = bad;
+      auto serial = book;
+
+      PricingRequest req;
+      req.kernel_id = v->id;
+      req.portfolio = core::view_of(book);
+      req.sanitize = policy;
+      const PricingResult res = eng.price(req);
+
+      // The serial sequence, under the pool's FP treatment.
+      core::PortfolioView sv = core::view_of(serial);
+      robust::SanitizeReport san;
+      robust::sanitize(sv, policy, san);
+      std::size_t repaired = 0;
+      if (policy != SanitizePolicy::kReject) {
+        as_pool_participant([&] {
+          PricingResult direct;
+          v->run_batch(req, sv, direct);
+        });
+        repaired = robust::guard_and_repair_bs(sv, robust::GuardPolicy{}, san.mask);
+        for (std::size_t i = 0; i < san.mask.size(); ++i) {
+          if (san.mask[i] & robust::kFaultSkipped) {
+            serial.call[i] = serial.put[i] = std::numeric_limits<double>::quiet_NaN();
+          }
+        }
+      }
+
+      const std::string what = std::string(robust::to_string(policy)) + " spot=" +
+                               std::to_string(bad);
+      EXPECT_EQ(res.status.code(),
+                policy == SanitizePolicy::kReject ? StatusCode::kInvalidInput
+                                                  : StatusCode::kDegraded)
+          << what;
+      EXPECT_EQ(res.option_faults, san.mask) << what;
+      EXPECT_EQ(res.options_clamped, san.clamped) << what;
+      EXPECT_EQ(res.options_skipped, san.skipped) << what;
+      EXPECT_EQ(res.options_repaired, repaired) << what;
+      std::size_t diff = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        diff += !same_bits(book.spot[i], serial.spot[i]) ||
+                !same_bits(book.call[i], serial.call[i]) ||
+                !same_bits(book.put[i], serial.put[i]);
+      }
+      EXPECT_EQ(diff, 0u) << what;
+    }
+  }
+}
+
+// The deferred scan also holds when the chunks price a negotiated copy:
+// an AOS book with poisoned spots lands exactly where the same book in the
+// kernel's native SOA layout does, repairs included.
+TEST(EngineBsChunks, NegotiatedFaultyBookMatchesTheNativeLayout) {
+  const std::size_t n = 2 * kChunk + 40;
+  auto aos = core::make_bs_workload_aos(n, 71);
+  aos.options[3].spot = std::numeric_limits<double>::quiet_NaN();
+  aos.options[n - 2].spot = -1.0;
+  auto soa = core::to_soa(aos);
+  engine::ThreadPool pool(4);
+  Engine eng(&pool);
+  for (SanitizePolicy policy : {SanitizePolicy::kSkip, SanitizePolicy::kClamp}) {
+    auto aos_book = aos;
+    auto soa_book = soa;
+    PricingRequest on_aos, on_soa;
+    on_aos.kernel_id = on_soa.kernel_id = "bs.intermediate.auto";
+    on_aos.sanitize = on_soa.sanitize = policy;
+    on_aos.portfolio = core::view_of(aos_book);
+    on_soa.portfolio = core::view_of(soa_book);
+    const PricingResult a = eng.price(on_aos);
+    const PricingResult b = eng.price(on_soa);
+    EXPECT_EQ(a.status.code(), b.status.code());
+    EXPECT_EQ(a.option_faults, b.option_faults);
+    EXPECT_EQ(a.options_clamped, b.options_clamped);
+    EXPECT_EQ(a.options_skipped, b.options_skipped);
+    std::size_t diff = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      diff += !same_bits(aos_book.options[i].spot, soa_book.spot[i]) ||
+              !same_bits(aos_book.options[i].call, soa_book.call[i]) ||
+              !same_bits(aos_book.options[i].put, soa_book.put[i]);
+    }
+    EXPECT_EQ(diff, 0u) << robust::to_string(policy);
+  }
+}
+
+TEST(EngineBsChunks, CorruptedOutputsAreRepairedPerChunk) {
+  const std::size_t n = 4 * kChunk + 5;
+  auto book = core::make_bs_workload_soa(n, 53);
+  engine::ThreadPool pool(4);
+  Engine eng(&pool);
+  PricingRequest req;
+  req.kernel_id = "bs.intermediate.auto";
+  req.portfolio = core::view_of(book);
+  req.faults.seed = 5;
+  req.faults.corrupt = 0.001;
+  const PricingResult res = eng.price(req);
+
+  std::size_t corrupted = 0;
+  for (std::size_t i = 0; i < n; ++i) corrupted += req.faults.hits(1, i, req.faults.corrupt);
+  ASSERT_GT(corrupted, 0u);
+  EXPECT_EQ(res.status.code(), StatusCode::kDegraded) << res.error;
+  EXPECT_EQ(res.options_repaired, corrupted);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(std::isfinite(book.call[i]) && std::isfinite(book.put[i])) << i;
+    if (!req.faults.hits(1, i, req.faults.corrupt)) continue;
+    const core::BsPrice p = core::black_scholes(book.spot[i], book.strike[i], book.years[i],
+                                                book.rate, book.vol, book.dividend);
+    EXPECT_EQ(book.call[i], p.call) << i;
+    EXPECT_EQ(book.put[i], p.put) << i;
+  }
+}
+
+TEST(EngineBsChunks, ThrownChunksAreRepairedThroughTheClosedForm) {
+  const std::size_t n = 6 * kChunk + 9;
+  auto book = core::make_bs_workload_soa(n, 59);
+  engine::ThreadPool pool(4);
+  Engine eng(&pool);
+  PricingRequest req;
+  req.kernel_id = "bs.intermediate.auto";
+  req.portfolio = core::view_of(book);
+  req.faults.seed = 3;
+  req.faults.throw_rate = 0.5;
+  const PricingResult res = eng.price(req);
+
+  const std::size_t nchunks = (n + kChunk - 1) / kChunk;
+  ASSERT_EQ(res.chunk_status.size(), nchunks);
+  std::size_t thrown = 0, thrown_items = 0;
+  for (std::size_t c = 0; c < nchunks; ++c) {
+    const bool hit = req.faults.hits(2, c, req.faults.throw_rate);
+    EXPECT_EQ(static_cast<engine::ChunkStatus>(res.chunk_status[c]),
+              hit ? engine::ChunkStatus::kDegraded : engine::ChunkStatus::kOk)
+        << c;
+    thrown += hit;
+    if (hit) thrown_items += std::min(n, (c + 1) * kChunk) - c * kChunk;
+  }
+  ASSERT_GT(thrown, 0u) << "pick a seed that throws somewhere";
+  ASSERT_LT(thrown, nchunks);
+  EXPECT_EQ(res.status.code(), StatusCode::kDegraded) << res.error;
+  EXPECT_EQ(res.chunks_degraded, thrown);
+  EXPECT_EQ(res.options_repaired, thrown_items);
+  EXPECT_EQ(res.items, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const core::BsPrice p = core::black_scholes(book.spot[i], book.strike[i], book.years[i],
+                                                book.rate, book.vol, book.dividend);
+    ASSERT_NEAR(book.call[i], p.call, 1e-9 * std::max(1.0, std::abs(p.call))) << i;
+    ASSERT_NEAR(book.put[i], p.put, 1e-9 * std::max(1.0, std::abs(p.put))) << i;
+  }
+}
+
+// One participant, chunks in order, the first one slowed past the
+// deadline: every chunk after it is left unrun, its outputs NaN.
+TEST(EngineBsChunks, DeadlineLeavesUnrunChunksNaN) {
+  const std::size_t n = 3 * kChunk + 7;
+  auto book = core::make_bs_workload_soa(n, 61);
+  std::fill(book.call.begin(), book.call.end(), 1.0);
+  std::fill(book.put.begin(), book.put.end(), 1.0);
+  engine::ThreadPool pool(1);
+  Engine eng(&pool);
+  PricingRequest req;
+  req.kernel_id = "bs.intermediate.auto";
+  req.portfolio = core::view_of(book);
+  req.faults.seed = 1;
+  req.faults.slow = 1.0;
+  req.faults.slow_ms = 60.0;
+  req.deadline_seconds = 0.02;
+  const PricingResult res = eng.price(req);
+
+  EXPECT_EQ(res.status.code(), StatusCode::kDeadlineExceeded) << res.error;
+  ASSERT_EQ(res.chunk_status.size(), 4u);
+  EXPECT_EQ(static_cast<engine::ChunkStatus>(res.chunk_status.back()),
+            engine::ChunkStatus::kDeadline);
+  std::size_t priced = 0, skipped = 0;
+  for (std::size_t c = 0; c < res.chunk_status.size(); ++c) {
+    const auto st = static_cast<engine::ChunkStatus>(res.chunk_status[c]);
+    ASSERT_TRUE(st == engine::ChunkStatus::kOk || st == engine::ChunkStatus::kDeadline) << c;
+    const std::size_t end = std::min(n, (c + 1) * kChunk);
+    for (std::size_t i = c * kChunk; i < end; ++i) {
+      ASSERT_EQ(std::isnan(book.call[i]) && std::isnan(book.put[i]),
+                st == engine::ChunkStatus::kDeadline)
+          << i;
+    }
+    if (st == engine::ChunkStatus::kOk) priced += end - c * kChunk;
+    if (st == engine::ChunkStatus::kDeadline) ++skipped;
+  }
+  EXPECT_EQ(res.items, priced);
+  EXPECT_EQ(res.chunks_deadline, skipped);
+}
+
+// The negotiation cache keys on the caller's data pointer: a reused AOS
+// request whose spots change in place must still price the new spots.
+TEST(Engine, NegotiatedRequestRepricesInPlaceInputChanges) {
+  auto reused_book = core::make_bs_workload_aos(1024, 67);
+  PricingRequest reused;
+  reused.kernel_id = "bs.intermediate.auto";  // SOA kernel, AOS request
+  reused.portfolio = core::view_of(reused_book);
+  ASSERT_TRUE(Engine::shared().price(reused).ok);
+  for (auto& o : reused_book.options) o.spot *= 1.5;
+  const PricingResult res = Engine::shared().price(reused);
+  ASSERT_TRUE(res.ok) << res.error;
+
+  auto fresh_book = reused_book;
+  PricingRequest fresh;
+  fresh.kernel_id = reused.kernel_id;
+  fresh.portfolio = core::view_of(fresh_book);
+  ASSERT_TRUE(Engine::shared().price(fresh).ok);
+  for (std::size_t i = 0; i < reused_book.options.size(); ++i) {
+    EXPECT_EQ(reused_book.options[i].call, fresh_book.options[i].call) << i;
+    EXPECT_EQ(reused_book.options[i].put, fresh_book.options[i].put) << i;
+  }
 }

@@ -4,7 +4,8 @@
 // buffers, the negotiated-layout arena), every further repetition of the
 // same request performs zero C++ heap allocations. Covered paths:
 //
-//   - Black–Scholes whole-batch in the variant's native layout,
+//   - Black–Scholes chunked across the pool in the variant's native layout
+//     (the chunk closure fits std::function's small-buffer optimization),
 //   - Black–Scholes with layout negotiation (AOS request, SOA kernel):
 //     the conversion is cached in the request arena, repetitions pay only
 //     the output writeback,
@@ -81,8 +82,8 @@ std::size_t allocations_during(F&& f) {
 
 }  // namespace
 
-TEST(EngineAlloc, BsWholeBatchNativeLayoutIsAllocationFree) {
-  auto soa = core::make_bs_workload_soa(4096, 1);
+TEST(EngineAlloc, BsChunkedNativeLayoutIsAllocationFree) {
+  auto soa = core::make_bs_workload_soa(3 * 16384 + 5, 1);  // several pool chunks
   PricingRequest req;
   req.kernel_id = "bs.intermediate.auto";
   req.portfolio = core::view_of(soa);
@@ -96,7 +97,7 @@ TEST(EngineAlloc, BsWholeBatchNativeLayoutIsAllocationFree) {
     for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
   });
   ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_EQ(allocs, 0u) << "steady-state BS whole-batch pricing allocated";
+  EXPECT_EQ(allocs, 0u) << "steady-state chunked BS pricing allocated";
 }
 
 TEST(EngineAlloc, NegotiatedAosToSoaIsAllocationFreeAfterFirstConversion) {

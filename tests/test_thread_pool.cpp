@@ -11,8 +11,11 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <immintrin.h>
+#include <omp.h>
 
 #include "finbench/arch/timing.hpp"
+#include "finbench/engine/task_group.hpp"
 #include "finbench/engine/thread_pool.hpp"
 #include "finbench/obs/metrics.hpp"
 #include "finbench/robust/deadline.hpp"
@@ -71,6 +74,45 @@ TEST(ThreadPool, SizeOneRunsInline) {
     ++ran;  // serial: no race
   });
   EXPECT_EQ(ran, 17);
+}
+
+// A one-chunk run executes inline on the caller with the pool's treatment
+// (FTZ+DAZ, a one-thread OpenMP team), both restored afterwards; tasks the
+// chunk spawns still complete (their first spawn wakes the helpers).
+TEST(ThreadPool, SingleChunkRunsInlineOnTheCaller) {
+  ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  const int omp_before = omp_get_max_threads();
+  const unsigned csr_before = _mm_getcsr();
+  int ran = 0;
+  pool.run(1, [&](std::ptrdiff_t c) {
+    EXPECT_EQ(c, 0);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(ThreadPool::current_participant(), 0);
+    EXPECT_EQ(omp_get_max_threads(), 1);
+    EXPECT_EQ(_mm_getcsr() & 0x8040u, 0x8040u);  // FTZ | DAZ
+    ++ran;
+  });
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(omp_get_max_threads(), omp_before);
+  EXPECT_EQ(_mm_getcsr(), csr_before);
+
+  std::atomic<int> tasks{0};
+  pool.run(1, [&](std::ptrdiff_t) {
+    engine::TaskGroup group(pool);
+    for (int i = 0; i < 16; ++i) {
+      group.spawn([&tasks] {
+        burn_cpu(0.001);
+        tasks.fetch_add(1);
+      });
+    }
+    group.join();
+  });
+  EXPECT_EQ(tasks.load(), 16);
+  // The pool is reusable for ordinary runs afterwards.
+  std::atomic<int> after{0};
+  pool.run(8, [&](std::ptrdiff_t) { after.fetch_add(1); });
+  EXPECT_EQ(after.load(), 8);
 }
 
 TEST(ThreadPool, ZeroChunksIsANoop) {
