@@ -39,7 +39,7 @@ struct Scratch;
 // Intra-option task parallelism (engine/task_group.hpp): whether expensive
 // options may decompose into nested fork-join tasks inside their chunk.
 // kAuto defers to the tuner (which races tasked vs. flat execution under
-// auto dispatch) or a threads > 1 heuristic for explicit kernel ids.
+// auto dispatch); explicit kernel ids run flat unless tasks are kOn.
 enum class TaskMode : int { kAuto = -1, kOff = 0, kOn = 1 };
 
 struct PricingRequest {

@@ -18,9 +18,11 @@
 //                   Fig. 5 "Basic (Unrolled)" increment that helps in-order
 //                   KNC cores)
 //
-// American exercise is supported by the reference and intermediate
-// variants (the paper prices European; American is the natural extension
-// and is used to validate Crank–Nicolson).
+// Every variant prices American exercise (the paper prices European;
+// American is the natural extension and is used to validate
+// Crank–Nicolson): basic hands American options to the reference, and a
+// tiled lane group holding an American option reduces through the
+// intermediate level's exercise-aware loop.
 
 #pragma once
 
@@ -49,11 +51,31 @@ inline std::size_t lattice_doubles(int steps, int width = 8) {
   return static_cast<std::size_t>(steps + 1) * static_cast<std::size_t>(width);
 }
 
+// Lattice storage price_one_simd needs: the (steps+1)-node row plus the
+// two parity-split exercise rows of steps+1 doubles each. Fits every
+// lattice_doubles(steps) slot.
+inline std::size_t one_simd_doubles(int steps) {
+  return 3 * (static_cast<std::size_t>(steps) + 1);
+}
+
 // Price a single option (any style); the building block of `reference`.
 // The span overload reduces through caller-provided lattice storage of at
 // least steps+1 doubles (no allocation); the plain overload allocates.
 double price_one_reference(const core::OptionSpec& opt, int steps);
 double price_one_reference(const core::OptionSpec& opt, int steps, std::span<double> lattice);
+
+// One option with its lattice nodes on W SIMD lanes (W in {1, 4, 8}; 8
+// needs an AVX-512 build): the single-option path of the intermediate and
+// advanced levels, used for their n % W tails and for per-option depths.
+// American exercise reads node payoffs from two precomputed rows, one per
+// level parity, since node (L, j) has spot S*u^(2j-L): level L = 2m+q
+// reads row q at offset j-m contiguously, so there is no serial spot chain
+// in the j-loop. The European reduction is the reference's unfused
+// pu*up + pd*dn, so European results are bitwise equal to
+// price_one_reference; American results agree with it to ~1e-12 and are
+// bitwise equal across W. `lattice` holds at least one_simd_doubles(steps).
+template <int W>
+double price_one_simd(const core::OptionSpec& opt, int steps, std::span<double> lattice);
 
 // Every batch variant leases its per-worker lattice from `scratch` when a
 // pool with room is supplied; a null (or exhausted) pool falls back to a
@@ -64,7 +86,9 @@ void price_basic(std::span<const core::OptionSpec> opts, int steps, std::span<do
                  core::ScratchPool* scratch = nullptr);
 void price_intermediate(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
                         Width w = Width::kAuto, core::ScratchPool* scratch = nullptr);
-// European only (the tile carries no per-node early-exercise information).
+// Register tiling is European (the tile carries no per-node exercise
+// information); lane groups with an American option take the
+// intermediate reduction instead.
 void price_advanced(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
                     Width w = Width::kAuto, core::ScratchPool* scratch = nullptr);
 void price_advanced_unrolled(std::span<const core::OptionSpec> opts, int steps,

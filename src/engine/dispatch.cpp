@@ -23,10 +23,9 @@ ResolvedDispatch resolve_dispatch(const Engine& eng, const PricingRequest& req) 
   ResolvedDispatch out;
   out.schedule = req.schedule;
   out.chunks_per_thread = req.chunks_per_thread;
-  // Explicit task mode wins everywhere; kAuto falls back to a threads > 1
-  // heuristic here, and to the raced plan's verdict under auto dispatch.
-  out.tasks = req.tasks == TaskMode::kOn ||
-              (req.tasks == TaskMode::kAuto && eng.pool_size() > 1);
+  // Explicit task mode wins everywhere. kAuto keeps tasks off for explicit
+  // ids; only a raced plan may turn them on (below).
+  out.tasks = req.tasks == TaskMode::kOn;
 
   if (!tune::is_auto_id(req.kernel_id)) {
     out.v = Registry::instance().find(req.kernel_id);

@@ -25,6 +25,8 @@ struct Outputs {
 // Shared knobs, deliberately small: validation runs inside the test suite.
 constexpr std::uint64_t kSeed = 9;
 constexpr int kBinomialSteps = 256;
+// Per-option depths for the lattice pass: years 0.25..3 give 32..384 steps.
+constexpr int kBinomialStepsPerYear = 128;
 constexpr std::size_t kMcPaths = 16384;
 constexpr int kCnSteps = 128;
 constexpr int kCnPrices = 65;
@@ -42,8 +44,9 @@ PricingRequest knobs_for(const VariantInfo& v) {
 }
 
 // The per-family canonical workload: identical for a variant and its
-// reference, restricted to what the narrower of the two supports.
-std::vector<core::OptionSpec> specs_for(const VariantInfo& v, std::size_t n) {
+// reference, restricted to what the narrower of the two supports. `mixed`
+// alternates European and American binomial options.
+std::vector<core::OptionSpec> specs_for(const VariantInfo& v, std::size_t n, bool mixed) {
   core::SingleOptionWorkloadParams p;
   if (v.kernel == "cn") {
     n = std::min<std::size_t>(n, 8);
@@ -56,7 +59,13 @@ std::vector<core::OptionSpec> specs_for(const VariantInfo& v, std::size_t n) {
     n = std::min<std::size_t>(n, 32);
     p.style = v.european_only ? core::ExerciseStyle::kEuropean : core::ExerciseStyle::kAmerican;
   }
-  return core::make_option_workload(n, kSeed, p);
+  std::vector<core::OptionSpec> specs = core::make_option_workload(n, kSeed, p);
+  if (mixed) {
+    for (std::size_t i = 0; i < specs.size(); i += 2) {
+      specs[i].style = core::ExerciseStyle::kEuropean;
+    }
+  }
+  return specs;
 }
 
 Outputs run_bs(const VariantInfo& v, std::size_t n) {
@@ -106,8 +115,10 @@ Outputs run_bs(const VariantInfo& v, std::size_t n) {
 }
 
 // Run `v` on the canonical workload for comparison subject `subject` (the
-// non-reference variant, which decides workload restrictions).
-Outputs run_one(const VariantInfo& v, const VariantInfo& subject, std::size_t n) {
+// non-reference variant, which decides workload restrictions). A positive
+// `steps_per_year` prices a mixed-style book at per-option lattice depths.
+Outputs run_one(const VariantInfo& v, const VariantInfo& subject, std::size_t n,
+                int steps_per_year = 0) {
   if (v.layout == Layout::kBsAos || v.layout == Layout::kBsSoa || v.layout == Layout::kBsSoaF ||
       v.layout == Layout::kBsBlocked) {
     return run_bs(v, n);
@@ -121,7 +132,8 @@ Outputs run_one(const VariantInfo& v, const VariantInfo& subject, std::size_t n)
     v.run_batch(req, req.portfolio, res);
     return {std::move(res.values), std::move(res.std_errors)};
   }
-  const auto specs = specs_for(subject, n);
+  req.steps_per_year = steps_per_year;
+  const auto specs = specs_for(subject, n, steps_per_year > 0);
   req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
   v.run_batch(req, req.portfolio, res);
   return {std::move(res.values), std::move(res.std_errors)};
@@ -131,6 +143,35 @@ double mean(const std::vector<double>& x) {
   double s = 0.0;
   for (double v : x) s += v;
   return x.empty() ? 0.0 : s / static_cast<double>(x.size());
+}
+
+// Deterministic agreement: the worst relative error within the variant's
+// tolerance. Folds into `rep` so several passes report their worst item.
+void compare_exact(const Outputs& got, const Outputs& want, double tolerance, const char* pass,
+                   ValidationReport& rep) {
+  if (got.values.size() != want.values.size()) {
+    rep.ok = false;
+    rep.detail = std::string("output size mismatch vs reference") + pass;
+    return;
+  }
+  double worst = 0.0;
+  std::size_t worst_i = 0;
+  for (std::size_t i = 0; i < got.values.size(); ++i) {
+    const double rel =
+        std::fabs(got.values[i] - want.values[i]) / std::max(1.0, std::fabs(want.values[i]));
+    if (rel > worst) {
+      worst = rel;
+      worst_i = i;
+    }
+  }
+  rep.max_rel_err = std::max(rep.max_rel_err, worst);
+  if (worst > tolerance) {
+    rep.ok = false;
+    char buf[192];
+    std::snprintf(buf, sizeof buf, "item %zu: rel err %.3g > tol %.3g (got %.12g want %.12g)%s",
+                  worst_i, worst, tolerance, got.values[worst_i], want.values[worst_i], pass);
+    rep.detail = buf;
+  }
 }
 
 }  // namespace
@@ -191,27 +232,15 @@ ValidationReport validate_variant(const std::string& id, std::size_t nopt) {
     return rep;
   }
 
-  if (got.values.size() != want.values.size()) {
-    rep.detail = "output size mismatch vs reference";
-    return rep;
-  }
-  double worst = 0.0;
-  std::size_t worst_i = 0;
-  for (std::size_t i = 0; i < got.values.size(); ++i) {
-    const double rel =
-        std::fabs(got.values[i] - want.values[i]) / std::max(1.0, std::fabs(want.values[i]));
-    if (rel > worst) {
-      worst = rel;
-      worst_i = i;
-    }
-  }
-  rep.max_rel_err = worst;
-  rep.ok = worst <= v->tolerance;
-  if (!rep.ok) {
-    char buf[160];
-    std::snprintf(buf, sizeof buf, "item %zu: rel err %.3g > tol %.3g (got %.12g want %.12g)",
-                  worst_i, worst, v->tolerance, got.values[worst_i], want.values[worst_i]);
-    rep.detail = buf;
+  rep.ok = true;
+  compare_exact(got, want, v->tolerance, "", rep);
+  if (rep.ok && v->kernel == "binomial" && v->layout == Layout::kSpecs) {
+    // Per-option depths take the engine's single-option lattice path,
+    // which a uniform depth never reaches.
+    const Outputs got_d = run_one(*v, *v, nopt, kBinomialStepsPerYear);
+    const Outputs want_d = run_one(*ref, *v, nopt, kBinomialStepsPerYear);
+    rep.items += got_d.values.size();
+    compare_exact(got_d, want_d, v->tolerance, " (steps_per_year pass)", rep);
   }
   return rep;
 }

@@ -139,10 +139,10 @@ bool run_range(const PricingRequest& req, const core::PortfolioView& view, std::
   core::ScratchPool* pool = &s.lattice_pool;
   std::span<double> out{res.values.data() + begin, end - begin};
   if (req.steps_per_year > 0) {
-    // Heterogeneous depths: the lattice is priced per option (SIMD variants
-    // accept single-option spans via their scalar tail path — which is
-    // price_one_reference, so routing deep European options through the
-    // banded decomposition below is bitwise-neutral for every variant).
+    // Heterogeneous depths: the lattice is priced per option. Every
+    // per-option European path computes the reference's unfused node
+    // update, so routing deep European options through the banded
+    // decomposition below is bitwise-neutral for every variant.
     const bool tasks = s.tasks_on && s.task_pool != nullptr;
     for (std::size_t o = begin; o < end; ++o) {
       const core::OptionSpec& opt = view.specs[o];
@@ -270,9 +270,6 @@ void register_binomial(Registry& r) {
     VariantInfo v = base("binomial.basic.auto", OptLevel::kBasic, 0,
                          "inner-loop autovectorization + OpenMP across options");
     v.tolerance = 1e-12;
-    // price_basic's backward induction carries no early-exercise max —
-    // the omp-simd inner loop is pure continuation value.
-    v.european_only = true;
     wire<basic_w, Width::kAuto>(v);
     r.add(std::move(v));
   }
@@ -291,7 +288,6 @@ void register_binomial(Registry& r) {
   {
     VariantInfo v = base("binomial.advanced.avx2", OptLevel::kAdvanced, 4,
                          "register tiling (Lis. 3), 4-wide");
-    v.european_only = true;
     // Fallback chain: advanced -> intermediate -> reference.
     v.fallback_id = "binomial.intermediate.avx2";
     wire<kernels::binomial::price_advanced, Width::kAvx2>(v);
@@ -300,7 +296,6 @@ void register_binomial(Registry& r) {
   {
     VariantInfo v = base("binomial.advanced.auto", OptLevel::kAdvanced, 0,
                          "register tiling (Lis. 3), widest");
-    v.european_only = true;
     v.fallback_id = "binomial.intermediate.auto";
     wire<kernels::binomial::price_advanced, Width::kAuto>(v);
     r.add(std::move(v));
@@ -308,7 +303,6 @@ void register_binomial(Registry& r) {
   {
     VariantInfo v = base("binomial.advanced_unrolled.auto", OptLevel::kAdvanced, 0,
                          "register tiling + manual tile-loop unrolling");
-    v.european_only = true;
     v.fallback_id = "binomial.advanced.auto";  // -> intermediate -> reference
     wire<kernels::binomial::price_advanced_unrolled, Width::kAuto>(v);
     r.add(std::move(v));

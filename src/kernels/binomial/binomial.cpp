@@ -115,6 +115,74 @@ double price_one_reference(const core::OptionSpec& opt, int steps, std::span<dou
   return call[0];
 }
 
+// --- Single option on SIMD lanes ----------------------------------------------
+
+template <int W>
+double price_one_simd(const core::OptionSpec& opt, int steps, std::span<double> lattice) {
+  using V = simd::Vec<double, W>;
+  assert(lattice.size() >= one_simd_doubles(steps));
+  const CrrParams p = crr(opt, steps);
+  const double pu_s = p.pu_by_df, pd_s = p.pd_by_df;
+  const V pu(pu_s), pd(pd_s);
+  const std::size_t nodes = static_cast<std::size_t>(steps) + 1;
+  double* const call = lattice.data();
+
+  // Leaves exactly as the reference builds them.
+  double s = opt.spot * std::pow(p.down, steps);
+  const double ratio = p.up / p.down;
+  for (std::size_t j = 0; j < nodes; ++j) {
+    call[j] = payoff(opt, s);
+    s *= ratio;
+  }
+
+  if (opt.style != core::ExerciseStyle::kAmerican) {
+    for (int i = steps; i > 0; --i) {
+      int j = 0;
+      for (; j + W <= i; j += W) {
+        const V up = V::loadu(call + j + 1);
+        const V dn = V::loadu(call + j);
+        (pu * up + pd * dn).storeu(call + j);
+      }
+      for (; j < i; ++j) call[j] = pu_s * call[j + 1] + pd_s * call[j];
+    }
+    return call[0];
+  }
+
+  // Exercise rows: ex[q][r] = payoff(S*u^(2(r-half)-q)), so node (L, j)
+  // with L = 2m+q reads ex[q][half-m+j]. Each row is one multiply chain
+  // by u/d = u^2.
+  const int half = steps / 2;
+  double* const ex0 = call + nodes;
+  double* const ex1 = ex0 + nodes;
+  double s0 = opt.spot * std::pow(p.down, 2 * half);
+  double s1 = s0 * p.down;
+  for (std::size_t r = 0; r < nodes; ++r) {
+    ex0[r] = payoff(opt, s0);
+    ex1[r] = payoff(opt, s1);
+    s0 *= ratio;
+    s1 *= ratio;
+  }
+
+  for (int i = steps; i > 0; --i) {
+    const int level = i - 1;
+    const double* const ex = ((level & 1) != 0 ? ex1 : ex0) + (half - level / 2);
+    int j = 0;
+    for (; j + W <= i; j += W) {
+      const V up = V::loadu(call + j + 1);
+      const V dn = V::loadu(call + j);
+      max(pu * up + pd * dn, V::loadu(ex + j)).storeu(call + j);
+    }
+    for (; j < i; ++j) call[j] = std::max(pu_s * call[j + 1] + pd_s * call[j], ex[j]);
+  }
+  return call[0];
+}
+
+template double price_one_simd<1>(const core::OptionSpec&, int, std::span<double>);
+template double price_one_simd<4>(const core::OptionSpec&, int, std::span<double>);
+#if defined(FINBENCH_HAVE_AVX512)
+template double price_one_simd<8>(const core::OptionSpec&, int, std::span<double>);
+#endif
+
 void price_reference(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
                      core::ScratchPool* scratch) {
   static obs::Counter& priced = obs::counter("binomial.options_priced");
@@ -143,6 +211,11 @@ void price_basic(std::span<const core::OptionSpec> opts, int steps, std::span<do
 #pragma omp for schedule(static)
     for (std::ptrdiff_t o = 0; o < n; ++o) {
       const core::OptionSpec& opt = opts[o];
+      if (opt.style == core::ExerciseStyle::kAmerican) {
+        // The pragma-only level has no exercise-aware loop of its own.
+        out[o] = price_one_reference(opt, steps, {call, static_cast<std::size_t>(steps) + 1});
+        continue;
+      }
       const CrrParams p = crr(opt, steps);
       double s = opt.spot * std::pow(p.down, steps);
       const double ratio = p.up / p.down;
@@ -250,6 +323,26 @@ void reduce_american(std::span<const core::OptionSpec> opts, std::size_t base, d
 }
 
 template <int W>
+bool any_american(std::span<const core::OptionSpec> opts, std::size_t base) {
+  for (int l = 0; l < W; ++l) {
+    if (opts[base + l].style == core::ExerciseStyle::kAmerican) return true;
+  }
+  return false;
+}
+
+// Options past the last full lane group: one at a time, still on W lanes.
+template <int W>
+void price_tail(std::span<const core::OptionSpec> opts, std::size_t first, int steps,
+                std::span<double> out, core::ScratchPool* scratch) {
+  if (first == opts.size()) return;
+  LatticeBuf tail(scratch, one_simd_doubles(steps));
+  const std::span<double> lattice{tail.data, one_simd_doubles(steps)};
+  for (std::size_t o = first; o < opts.size(); ++o) {
+    out[o] = price_one_simd<W>(opts[o], steps, lattice);
+  }
+}
+
+template <int W>
 void price_simd(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
                 core::ScratchPool* scratch) {
   using V = simd::Vec<double, W>;
@@ -265,11 +358,7 @@ void price_simd(std::span<const core::OptionSpec> opts, int steps, std::span<dou
       const std::size_t base = static_cast<std::size_t>(g) * W;
       LaneBatch<W> lanes;
       lanes.init_leaves(opts, base, steps, call);
-      bool any_american = false;
-      for (int l = 0; l < W; ++l) {
-        any_american |= opts[base + l].style == core::ExerciseStyle::kAmerican;
-      }
-      if (any_american) {
+      if (any_american<W>(opts, base)) {
         reduce_american<W>(opts, base, call, steps, lanes.pu, lanes.pd);
       } else {
         reduce_european<W>(call, steps, lanes.pu, lanes.pd);
@@ -277,14 +366,7 @@ void price_simd(std::span<const core::OptionSpec> opts, int steps, std::span<dou
       V::load(call).storeu(out.data() + base);
     }
   }
-  // Tail options: scalar reference through the same leased lattice.
-  if (groups * W < n) {
-    LatticeBuf tail(scratch, static_cast<std::size_t>(steps) + 1);
-    const std::span<double> lattice{tail.data, static_cast<std::size_t>(steps) + 1};
-    for (std::size_t o = groups * W; o < n; ++o) {
-      out[o] = price_one_reference(opts[o], steps, lattice);
-    }
-  }
+  price_tail<W>(opts, groups * W, steps, out, scratch);
 }
 
 // --- Register tiling (Lis. 3) -----------------------------------------------
@@ -346,6 +428,11 @@ void price_tiled(std::span<const core::OptionSpec> opts, int steps, std::span<do
       const std::size_t base = static_cast<std::size_t>(g) * W;
       LaneBatch<W> lanes;
       lanes.init_leaves(opts, base, steps, call);
+      if (any_american<W>(opts, base)) {
+        reduce_american<W>(opts, base, call, steps, lanes.pu, lanes.pd);
+        V::load(call).storeu(out.data() + base);
+        continue;
+      }
 
       int m = steps;
       for (; m >= TS; m -= TS) tile_pass<W, TS, Unroll>(call, m, lanes.pu, lanes.pd);
@@ -355,13 +442,7 @@ void price_tiled(std::span<const core::OptionSpec> opts, int steps, std::span<do
       V::load(call).storeu(out.data() + base);
     }
   }
-  if (groups * W < n) {
-    LatticeBuf tail(scratch, static_cast<std::size_t>(steps) + 1);
-    const std::span<double> lattice{tail.data, static_cast<std::size_t>(steps) + 1};
-    for (std::size_t o = groups * W; o < n; ++o) {
-      out[o] = price_one_reference(opts[o], steps, lattice);
-    }
-  }
+  price_tail<W>(opts, groups * W, steps, out, scratch);
 }
 
 constexpr int kTileSize = 16;  // fits the zmm/ymm register file with room to spare

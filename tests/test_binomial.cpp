@@ -171,6 +171,122 @@ TEST(Binomial, TilingAgreesAcrossWidths) {
   }
 }
 
+// Tiled lane groups holding an American option must honor early exercise
+// (they used to reduce every lane as European), and so must basic.
+TEST(Binomial, AdvancedAndBasicPriceAmericanLikeReference) {
+  core::SingleOptionWorkloadParams p;
+  p.style = core::ExerciseStyle::kAmerican;
+  auto opts = core::make_option_workload(19, 8, p);
+  opts[3].style = core::ExerciseStyle::kEuropean;  // a mixed lane group
+  // Deep in-the-money puts: early exercise is worth ~5.6 here.
+  const core::OptionSpec itm{80, 120, 1, 0.05, 0.2, core::OptionType::kPut,
+                             core::ExerciseStyle::kAmerican};
+  opts.insert(opts.end(), 16, itm);
+  const int steps = 256;
+  std::vector<double> ref(opts.size()), tiled(opts.size()), unrolled(opts.size()),
+      basic(opts.size());
+  binomial::price_reference(opts, steps, ref);
+  binomial::price_advanced(opts, steps, tiled);
+  binomial::price_advanced_unrolled(opts, steps, unrolled);
+  binomial::price_basic(opts, steps, basic);
+  EXPECT_NEAR(ref.back(), 40.0, 1e-9);  // exercise at once
+  for (std::size_t i = 0; i < opts.size(); ++i) {
+    const double tol = 1e-8 * std::max(1.0, std::fabs(ref[i]));
+    EXPECT_NEAR(tiled[i], ref[i], tol) << i;
+    EXPECT_NEAR(unrolled[i], ref[i], tol) << i;
+    EXPECT_EQ(basic[i], ref[i]) << i;
+  }
+}
+
+// --- price_one_simd: one option on W lanes ----------------------------------
+
+// Calls and puts, both styles, American calls with a dividend yield (the
+// only calls early exercise can pay for), deep-ITM puts that exercise at
+// once, at odd and even depths including steps = 1 and the engine's
+// 16-step floor.
+std::vector<core::OptionSpec> one_simd_book() {
+  std::vector<core::OptionSpec> book;
+  for (auto type : {core::OptionType::kCall, core::OptionType::kPut}) {
+    for (auto style : {core::ExerciseStyle::kEuropean, core::ExerciseStyle::kAmerican}) {
+      for (double q : {0.0, 0.04}) {
+        for (double spot : {80.0, 100.0, 130.0}) {
+          core::OptionSpec o{spot, 105, 0.9, 0.05, 0.25, type, style};
+          o.dividend = q;
+          book.push_back(o);
+        }
+      }
+    }
+  }
+  return book;
+}
+
+constexpr int kOneSimdSteps[] = {1, 2, 3, 16, 17, 64, 255, 256, 1023};
+
+template <int W>
+std::vector<double> price_all_one_simd(const std::vector<core::OptionSpec>& book, int steps) {
+  std::vector<double> lattice(binomial::one_simd_doubles(steps));
+  std::vector<double> out;
+  for (const core::OptionSpec& o : book) {
+    out.push_back(binomial::price_one_simd<W>(o, steps, lattice));
+  }
+  return out;
+}
+
+template <int W>
+void expect_one_simd_matches_reference() {
+  const auto book = one_simd_book();
+  for (const int steps : kOneSimdSteps) {
+    const std::vector<double> got = price_all_one_simd<W>(book, steps);
+    for (std::size_t i = 0; i < book.size(); ++i) {
+      const double ref = binomial::price_one_reference(book[i], steps);
+      if (book[i].style == core::ExerciseStyle::kEuropean) {
+        EXPECT_EQ(got[i], ref) << "W=" << W << " steps=" << steps << " i=" << i;
+      } else {
+        EXPECT_NEAR(got[i], ref, 1e-8 * std::max(1.0, std::fabs(ref)))
+            << "W=" << W << " steps=" << steps << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(BinomialOneSimd, W4MatchesReference) { expect_one_simd_matches_reference<4>(); }
+
+#if defined(FINBENCH_HAVE_AVX512)
+TEST(BinomialOneSimd, W8MatchesReference) { expect_one_simd_matches_reference<8>(); }
+
+TEST(BinomialOneSimd, W4BitwiseEqualsW8) {
+  const auto book = one_simd_book();
+  for (const int steps : kOneSimdSteps) {
+    const std::vector<double> w4 = price_all_one_simd<4>(book, steps);
+    const std::vector<double> w8 = price_all_one_simd<8>(book, steps);
+    for (std::size_t i = 0; i < book.size(); ++i) {
+      EXPECT_EQ(w4[i], w8[i]) << "steps=" << steps << " i=" << i;
+    }
+  }
+}
+#endif
+
+TEST(BinomialOneSimd, EarlyExerciseIsPriced) {
+  // The American put is worth more than the European, the dividend-paying
+  // American call more than its European twin, and a deep-ITM put is
+  // worth exactly its intrinsic value.
+  core::OptionSpec put{100, 110, 2.0, 0.08, 0.25, core::OptionType::kPut,
+                       core::ExerciseStyle::kEuropean};
+  core::OptionSpec call{120, 100, 1.0, 0.02, 0.2, core::OptionType::kCall,
+                        core::ExerciseStyle::kEuropean};
+  call.dividend = 0.08;
+  const int steps = 512;
+  std::vector<double> lattice(binomial::one_simd_doubles(steps));
+  for (core::OptionSpec o : {put, call}) {
+    const double eu = binomial::price_one_simd<4>(o, steps, lattice);
+    o.style = core::ExerciseStyle::kAmerican;
+    EXPECT_GT(binomial::price_one_simd<4>(o, steps, lattice), eu + 1e-3);
+  }
+  const core::OptionSpec itm{80, 120, 1, 0.05, 0.2, core::OptionType::kPut,
+                             core::ExerciseStyle::kAmerican};
+  EXPECT_NEAR(binomial::price_one_simd<4>(itm, 256, lattice), 40.0, 1e-9);
+}
+
 TEST(Binomial, ThrowsOnExplodingProbability) {
   // r*dt too large relative to vol*sqrt(dt): pu > 1 must be rejected.
   core::OptionSpec o = euro_put(100, 100, 10.0, 0.5, 0.01);

@@ -215,6 +215,36 @@ TEST(EngineAlloc, TaskedMixedExpiryBinomialIsAllocationFree) {
   EXPECT_EQ(allocs, 0u) << "steady-state tasked binomial pricing allocated";
 }
 
+// Per-option depths price each option through the W-lane single-option
+// kernel, whose node row and parity-split exercise rows come from the same
+// pooled lattice slot: a mixed American/European book stays heap-free.
+TEST(EngineAlloc, MixedStylePerOptionDepthBinomialIsAllocationFree) {
+  auto workload = core::make_option_workload(48, 15);
+  for (std::size_t i = 0; i < workload.size(); i += 2) {
+    workload[i].style = core::ExerciseStyle::kAmerican;
+  }
+  engine::ThreadPool pool(4);
+  Engine eng(&pool);
+  for (const char* id : {"binomial.intermediate.auto", "binomial.advanced.auto"}) {
+    PricingRequest req;
+    req.kernel_id = id;
+    req.portfolio = core::view_of(std::span<const core::OptionSpec>(workload));
+    req.steps_per_year = 256;
+    req.chunks_per_thread = 3;
+    PricingResult res;
+    eng.price(req, res);  // warm-up: lattice pool, chunk bounds
+    eng.price(req, res);  // second warm-up: result buffers at capacity
+    ASSERT_TRUE(res.ok) << res.error;
+
+    const std::size_t allocs = allocations_during([&] {
+      for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
+    });
+    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_EQ(res.values.size(), workload.size());
+    EXPECT_EQ(allocs, 0u) << "steady-state per-option-depth pricing allocated (" << id << ")";
+  }
+}
+
 TEST(EngineAlloc, MonteCarloComputedRngScratchIsPooledAfterWarmup) {
   const auto workload = core::make_option_workload(48, 13);
   PricingRequest req;

@@ -114,6 +114,31 @@ TEST(EngineTasks, MixedExpiryBinomialBatchBitwiseEqualTaskedVsFlat) {
   }
 }
 
+// TaskMode::kAuto leaves an explicit id flat, even on a multi-thread pool
+// and a book deep enough for banded tasks; only kOn (or a raced plan
+// under an auto-intent id) turns tasks on.
+TEST(EngineTasks, AutoModeKeepsExplicitIdsFlat) {
+  const auto specs = core::make_option_workload(16, 23);  // European
+  PricingRequest req;
+  req.kernel_id = "binomial.advanced.auto";
+  req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
+  req.steps_per_year = 512;  // years up to 3.0 -> depths up to ~1536
+  ASSERT_EQ(req.tasks, TaskMode::kAuto);
+
+  engine::ThreadPool pool(4);
+  Engine eng(&pool);
+  PricingResult res;
+  const std::uint64_t before = tasks_spawned();
+  eng.price(req, res);
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(tasks_spawned(), before) << "kAuto spawned tasks for an explicit id";
+
+  req.tasks = TaskMode::kOn;
+  eng.price(req, res);
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_GT(tasks_spawned(), before) << "kOn spawned no tasks";
+}
+
 // --- CN: pipelined sweeps reproduce the blocked reference exactly ------------
 
 TEST(EngineTasks, CnWavefrontTaskedMatchesBlockedReferenceBitwise) {
