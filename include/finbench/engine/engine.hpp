@@ -8,12 +8,14 @@
 // PricingResult::convert_seconds/convert_bytes; outputs are copied back
 // into the caller's portfolio after every run, inside the timed region),
 // partitions specs-layout portfolios into cost-model-weighted chunks (and
-// Black–Scholes arrays with a range adapter into fixed 16K-option chunks
-// that check, price and guard themselves), and executes them on a
-// persistent thread pool with dynamic chunk self-scheduling
-// (PricingRequest::schedule selects dynamic/static for specs). Variants
-// without a run_range adapter (the other Black–Scholes rows, Brownian path
-// construction) fall through to the kernel's native batch entry point.
+// Black–Scholes arrays into up-to-16K-option chunks that check, price and
+// guard themselves), and executes them on a persistent thread pool with
+// dynamic chunk self-scheduling (PricingRequest::schedule selects
+// dynamic/static for specs). A request is priced as a group of one: the
+// same chunk pipeline prices a coalesced group's members in place
+// (finbench/engine/group.hpp). Variants without a run_range adapter (the
+// blocked AoSoA rows, Brownian path construction) fall through to the
+// kernel's native batch entry point.
 //
 // Steady state is allocation-free: re-pricing the same request through
 // the two-argument price() overload performs zero heap allocations per
@@ -54,21 +56,21 @@ class Engine {
   // call, re-pricing the same request is heap-allocation-free.
   void price(const PricingRequest& req, PricingResult& res) const;
 
-  // Multi-request entry point (finbench/engine/group.hpp): fuse the group
-  // into one arena-backed portfolio, price it in a single execution, and
-  // scatter per-member outputs/statuses back. Members must be pairwise
-  // fusable with group[0] — a member that is not gets priced individually
-  // rather than silently mis-fused. Single-member groups skip the fuse.
-  // `scratch` is caller-owned and reused; steady-state same-shaped groups
-  // are heap-allocation-free.
+  // Multi-request entry point (finbench/engine/group.hpp): price every
+  // member in place, in its own arrays, in a single execution with
+  // per-member outputs and statuses. Members must be pairwise fusable with
+  // group[0] — otherwise every member is priced individually rather than
+  // silently mis-fused. `scratch` is caller-owned and reused; steady-state
+  // same-shaped groups are heap-allocation-free.
   void price_group(std::span<const GroupJob> group, GroupScratch& scratch) const;
 
-  // True when `a` and `b` may share one fused batch: same variant, same
-  // fusable layout, matching batch scalars and accuracy/robustness knobs,
-  // no active fault plan, and a deterministic (non-statistical) kernel.
-  // Auto-intent requests ("blackscholes.auto") compare by *resolved plan*:
-  // both resolve through the tuner first and fuse only when they land on
-  // the same concrete variant, schedule, and chunk granularity.
+  // True when `a` and `b` may share one execution: same variant, which
+  // prices ranges in place and is deterministic (non-statistical), same
+  // workload layout, matching accuracy/robustness knobs, and no active
+  // fault plan. Auto-intent requests ("blackscholes.auto") compare by
+  // *resolved plan*: both resolve through the tuner first and fuse only
+  // when they land on the same concrete variant, schedule, and chunk
+  // granularity.
   static bool fusable(const PricingRequest& a, const PricingRequest& b);
 
   // Participants the engine executes with (pool workers + caller). The
@@ -80,6 +82,9 @@ class Engine {
   static Engine& shared();
 
  private:
+  // The one execution behind price and price_group.
+  void execute(std::span<const GroupJob> group, GroupScratch& gs) const;
+
   ThreadPool* pool_;
 };
 

@@ -1,78 +1,74 @@
 // finbench/engine/group.hpp
 //
 // The engine's multi-request entry point: N compatible PricingRequests
-// fused into one arena-backed portfolio, priced in a single engine
-// execution, with per-request outputs and statuses scattered back. This
-// is what serve::Server's coalescer rides on — layout negotiation, chunk
-// partitioning, and ScratchPool reservation amortize across the group
-// instead of being paid once per small request.
+// priced in one engine execution, each in place in its own arrays. This is
+// what serve::Server's coalescer rides on — one pool run, one deadline and
+// one breaker outcome amortize across the group instead of being paid once
+// per small request. Engine::price is the same execution with one member.
 //
-// Fusion contract (Engine::fusable): two requests fuse when they name the
-// same kernel variant, carry the same workload layout (one of kSpecs,
-// kBsAos, kBsSoa, kBsSoaF — lane-blocked AoSoA members are priced
-// individually, their per-request tail padding makes concatenation
-// non-trivial), agree on every accuracy and robustness knob, share the
-// batch scalars (rate/vol/dividend for Black–Scholes layouts), carry no
-// active fault plan, and the variant is deterministic. Statistical
-// estimators (Monte Carlo) never fuse: their per-option RNG substreams
-// are keyed by batch index, so coalescing would change the answer a
-// request gets depending on who it shares a batch with.
+// An execution is a list of segments (member, [begin, end)) over the
+// members' own views, packed into chunks: a chunk holds whole small
+// members, or an aligned slice of a large one, up to the size a single
+// request of the group's total would get. Each member is otherwise priced
+// as if alone: it is sanitized (kReject rejects only that member),
+// negotiated through its own Scratch, input-checked, priced and guarded
+// inside its chunks with its own policy, and gets its own fallback, NaN
+// fill, writeback and status.
 //
-// Determinism: for the layouts that do fuse, every shipped kernel is
-// element-wise across options (SIMD lanes are independent), so a member's
-// prices are bitwise identical whether it is priced alone or inside a
-// fused batch — tests/test_serve.cpp asserts this.
+// Fusion contract (Engine::fusable): two requests fuse when they resolve
+// to the same kernel variant, the variant prices ranges in place
+// (run_range) and is deterministic, the requests carry the same workload
+// layout, agree on every accuracy and robustness knob, and carry no active
+// fault plan. Members may sit on different (rate, vol, dividend) curves:
+// each member's kernel reads its own view's scalars. Statistical
+// estimators (Monte Carlo) never fuse: their per-option RNG substreams are
+// keyed by batch index, so coalescing would change the answer a request
+// gets depending on who it shares a batch with.
 //
-// Degradation is attributed per member: the fused run executes with the
-// engine's Black–Scholes output guard deferred, and price_group re-guards
-// each member's range of the fused batch with the member's own policy —
-// a member whose outputs trip the guardrail is repaired (scalar closed
-// form) and reported kDegraded without touching its neighbours' statuses
-// or bits. Sanitizer verdicts scatter the same way through the per-option
-// fault mask.
+// Determinism: every segment starts at an offset within its member that
+// the member's solo chunking could also produce (0, or a multiple of the
+// widest lane count), so a member's options meet the kernel in the same
+// SIMD lane groups as when it is priced alone, and its prices are bitwise
+// identical either way — tests/test_serve.cpp, tests/test_robust.cpp and
+// tests/test_engine_lattice.cpp assert this.
 //
 // GroupScratch is caller-owned and reused across calls; after warm-up, a
 // steady state of same-shaped groups prices with zero heap allocations
-// (the fused portfolio lives in a block-reusing Arena, the fused request
-// keeps its engine Scratch, and all scatter buffers retain capacity).
+// (the segment buffers retain capacity, and each member keeps its own
+// engine Scratch). A group's members must be distinct request objects.
 
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
-#include "finbench/core/portfolio.hpp"
 #include "finbench/engine/request.hpp"
-#include "finbench/robust/deadline.hpp"
 
 namespace finbench::engine {
 
-// One member of a fused group: the request to price and where its
-// per-request outcome lands. Outputs go to the member's own portfolio
-// arrays (BS layouts) or result values (kSpecs), exactly as in
-// Engine::price.
+// One member of a group: the request to price and where its outcome lands.
+// Outputs go to the member's own portfolio arrays (BS layouts) or result
+// values (kSpecs), exactly as in Engine::price.
 struct GroupJob {
   const PricingRequest* req = nullptr;
   PricingResult* res = nullptr;
 };
 
-// Caller-owned state reused across price_group calls. The arena holds the
-// fused portfolio (reset keeps its blocks); `fused` keeps its engine
-// Scratch so negotiation/chunk/pool buffers persist. `deadline_seconds`
-// and `cancel`, when set, override the group deadline (otherwise the
-// minimum positive member deadline applies); serve::Server uses this to
-// arm the remaining budget of the most urgent member.
+// Caller-owned state reused across price_group calls.
 struct GroupScratch {
-  core::Arena arena;
-  PricingRequest fused;
-  PricingResult fused_res;
-
-  // Group-level deadline override (0 = derive from members).
+  // Group deadline override in seconds; 0 = the most urgent member's.
   double deadline_seconds = 0.0;
-  const robust::CancelToken* cancel = nullptr;
 
-  // Internal scatter bookkeeping (kept for capacity reuse).
-  std::vector<std::size_t> offsets;
+  // The execution plan, rebuilt by every call into retained capacity.
+  struct Segment {
+    std::uint32_t member = 0;        // index into the group
+    std::uint32_t slot = 0;          // the member's chunk_status entry
+    std::size_t begin = 0, end = 0;  // the member's options [begin, end)
+  };
+  std::vector<Segment> segments;
+  std::vector<std::size_t> chunks;  // chunk c = segments [chunks[c], chunks[c+1])
+  std::vector<std::size_t> rerun;   // chunks re-run after a deferred sanitize
 };
 
 }  // namespace finbench::engine

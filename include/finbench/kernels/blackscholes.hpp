@@ -46,27 +46,34 @@ inline constexpr double kBytesPerOption = 40.0;  // 24 in + 16 out
 // implicitly, so `price_intermediate(my_batch)` still reads naturally —
 // but the same kernels now also price arena-backed converted portfolios
 // (core::Portfolio / core::convert) with zero copies.
+//
+// Range entries: every kernel that prices the Black–Scholes view in place
+// (not the blocked layout) also has an overload taking [begin, end), which
+// prices those options on the calling thread (no OpenMP), for callers that
+// schedule ranges themselves (the engine's chunks). `begin` must be a
+// multiple of 16 (the widest lane count, so aligned loads hold and every
+// option meets the same SIMD lane in any split); results are bitwise-equal
+// to the whole-batch entry's. They return true when every call and put
+// they wrote is finite, from a probe accumulated as the outputs were
+// stored. Each whole-batch entry is an OpenMP split over its range body
+// (the reference is a plain loop over it).
 void price_reference(core::BsAosView batch);
+bool price_reference(core::BsAosView batch, std::size_t begin, std::size_t end);
 void price_basic(core::BsAosView batch);
+bool price_basic(core::BsAosView batch, std::size_t begin, std::size_t end);
 void price_intermediate(core::BsSoaView batch, Width w = Width::kAuto);
-
-// Range entry of the intermediate kernel: prices options [begin, end) on
-// the calling thread (no OpenMP), for callers that schedule ranges
-// themselves (the engine's chunks). `begin` must be a multiple of 16 (the
-// widest lane count, so aligned loads hold); results are bitwise-equal to
-// the whole-batch entry's. Returns true when every call and put it wrote
-// is finite, from a probe accumulated in registers as the outputs were
-// stored. The whole-batch entry above is an OpenMP split over this body.
 bool price_intermediate(core::BsSoaView batch, std::size_t begin, std::size_t end,
                         Width w = Width::kAuto);
 
 // The VML variant's chunk temporaries (d1/d2/xexp/qlog) come from the
 // caller's scratch pool when one is supplied (one slot of 4 x kVmlChunk
-// doubles per concurrent worker); a null pool falls back to per-call
+// doubles per concurrent range); a null pool falls back to per-call
 // aligned allocation, preserving standalone use.
 inline constexpr std::size_t kVmlChunk = 4096;
 void price_advanced_vml(core::BsSoaView batch, Width w = Width::kAuto,
                         core::ScratchPool* scratch = nullptr);
+bool price_advanced_vml(core::BsSoaView batch, std::size_t begin, std::size_t end, Width w,
+                        core::ScratchPool* scratch);
 
 // Register-tiled pricing straight off the blocked AoSoA layout: one
 // lane-block sub-run per register tile, ×2 unrolled, streaming stores, no
@@ -87,7 +94,6 @@ void price_blocked_from_aos(core::BsAosView batch, Width w = Width::kAuto);
 // precision/lane-count trade Table I's SP peak rows quantify.
 using WidthF = vecmath::WidthF;
 void price_intermediate_sp(core::BsSoaFView batch, WidthF w = WidthF::kAuto);
-// Range entry of the SP kernel, with the same contract as the DP one.
 bool price_intermediate_sp(core::BsSoaFView batch, std::size_t begin, std::size_t end,
                            WidthF w = WidthF::kAuto);
 void price_blocked_sp(core::BsBlockedView batch, WidthF w = WidthF::kAuto);
@@ -98,6 +104,8 @@ void price_blocked_sp(core::BsBlockedView batch, WidthF w = WidthF::kAuto);
 // conversion" pipeline with twice the lanes per tile (8 on AVX2, 16 on
 // AVX-512). Accuracy matches the other SP rows (~1e-7 absolute).
 void price_blocked_from_aos_f32(core::BsAosView batch, WidthF w = WidthF::kAuto);
+bool price_blocked_from_aos_f32(core::BsAosView batch, std::size_t begin, std::size_t end,
+                                WidthF w = WidthF::kAuto);
 
 // --- Batch greeks (extension): the full sensitivity set, SIMD across
 // options. Call and put greeks come from one d1/d2 evaluation per option

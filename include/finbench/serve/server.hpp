@@ -14,10 +14,10 @@
 //                      construction, not by luck
 //   coalescer          the dispatcher drains the backlog and greedily
 //                      groups fusable requests (Engine::fusable: same
-//                      kernel, layout, batch scalars, knobs) into one
-//                      fused batch priced via Engine::price_group — one
-//                      layout negotiation, one chunk partition, one
-//                      ScratchPool reservation for the whole group
+//                      kernel, layout, knobs) into one group priced via
+//                      Engine::price_group — one engine execution, one
+//                      pool run for the whole group, each member priced
+//                      in place
 //
 // A PricingJob is caller-owned and reusable; outputs land where
 // Engine::price would put them (the job's portfolio arrays / result

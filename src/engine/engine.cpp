@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <exception>
 #include <limits>
+#include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,64 +54,6 @@ constexpr std::size_t kBsAlign = 16;
 // priced nothing and waits for the sanitizer. Resolved before price()
 // returns; never visible to callers.
 constexpr std::uint8_t kChunkRescan = 0xff;
-
-// Contiguous chunk boundaries over [0, n): equal stripes for Black–Scholes
-// layouts (uniform cost; nparts = pool size, sizes per kBsChunk above),
-// cost-model-weighted for dynamic scheduling (each chunk carries ~total/K
-// weight, so expensive long-dated options don't all land in one chunk),
-// plain equal-count stripes for static (the classic partition the
-// imbalance experiment compares against).
-// Interior boundaries are kChunkAlign-aligned; duplicates are dropped, so
-// every chunk is non-empty. The result is cached in the request Scratch —
-// steady-state repetitions reuse it without touching the heap.
-const std::vector<std::size_t>& chunk_bounds(const VariantInfo& v, const PricingRequest& req,
-                                             const core::PortfolioView& view, std::size_t n,
-                                             int nparts, arch::Schedule schedule) {
-  Scratch& s = scratch_of(req);
-  const int sched = static_cast<int>(schedule);
-  if (s.bounds_n == n && s.bounds_nparts == nparts && s.bounds_sched == sched &&
-      !s.bounds.empty()) {
-    return s.bounds;
-  }
-  std::vector<std::size_t>& bounds = s.bounds;
-  bounds.clear();
-  bounds.push_back(0);
-  std::size_t k = static_cast<std::size_t>(nparts);
-  if (k > n) k = n;
-  auto push_aligned = [&](std::size_t b) {
-    b -= b % kChunkAlign;
-    if (b > bounds.back() && b < n) bounds.push_back(b);
-  };
-  if (v.layout != Layout::kSpecs) {
-    std::size_t chunk = (n + k - 1) / k;
-    chunk = std::clamp((chunk + kBsAlign - 1) / kBsAlign * kBsAlign, kBsMinChunk, kBsChunk);
-    for (std::size_t b = chunk; b < n; b += chunk) bounds.push_back(b);
-  } else if (v.item_cost && schedule == arch::Schedule::kDynamic && !view.specs.empty()) {
-    std::vector<double>& cost = s.item_cost;
-    cost.resize(n);
-    double total = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      cost[i] = v.item_cost(view.specs[i], req);
-      total += cost[i];
-    }
-    const double per_chunk = total / static_cast<double>(k);
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += cost[i];
-      if (acc >= per_chunk && bounds.size() < k) {
-        push_aligned(i + 1);
-        acc = 0.0;
-      }
-    }
-  } else {
-    for (std::size_t c = 1; c < k; ++c) push_aligned(c * n / k);
-  }
-  bounds.push_back(n);
-  s.bounds_n = n;
-  s.bounds_nparts = nparts;
-  s.bounds_sched = sched;
-  return bounds;
-}
 
 // --- Robustness helpers -----------------------------------------------------
 
@@ -251,16 +196,139 @@ void count_status(robust::StatusCode code) {
   }
 }
 
-// Mutable-string state of one execution that only exceptional paths touch.
-struct RunErrors {
-  std::mutex mu;
-  std::string first;  // first failure message (chunk exception / guard)
+// Clear a result for a new execution, keeping its buffers' capacity.
+void reset_result(PricingResult& res, const PricingRequest& req, std::uint64_t request_id) {
+  res.ok = false;
+  res.error.clear();
+  res.status.reset();
+  res.kernel_id = req.kernel_id;  // same id on a reused result: no realloc
+  res.resolved_id.clear();
+  res.tuned = false;
+  res.request_id = request_id;
+  res.items = 0;
+  res.seconds = 0.0;
+  res.convert_seconds = 0.0;
+  res.convert_bytes = 0;
+  res.values.clear();
+  res.std_errors.clear();
+  res.option_faults.clear();
+  res.chunk_status.clear();
+  res.options_clamped = res.options_skipped = res.options_repaired = 0;
+  res.chunks_degraded = res.chunks_failed = res.chunks_deadline = 0;
+  res.brownout_level = 0;
+  res.npath_applied = 0;
+  res.steps_applied = 0;
+  res.attempts = 1;
+}
 
-  void record(const char* what) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (first.empty()) first = what;
+// Mirrors the structured status into the legacy ok/error pair and bumps
+// the status-labeled outcome counter; every member outcome goes through
+// this.
+void finish(PricingResult& res, robust::Status status) {
+  res.status = std::move(status);
+  res.ok = res.status.ok();
+  if (res.status.code() != robust::StatusCode::kOk) res.error = res.status.to_string();
+  count_status(res.status.code());
+}
+
+// A member's Scratch, claimed for this execution. A request copied from
+// another carries the other's Scratch (the shared_ptr is copied); when both
+// sit in one group the later one gets a fresh Scratch, so no two members
+// share execution state.
+Scratch& claim_scratch(const PricingRequest& req, std::uint64_t request_id) {
+  Scratch* s = &scratch_of(req);
+  if (s->run.id == request_id) {
+    req.scratch = std::make_shared<Scratch>();
+    s = req.scratch.get();
   }
-};
+  s->run.id = request_id;
+  return *s;
+}
+
+Scratch::Run& run_of(const GroupJob& j) { return j.req->scratch->run; }
+
+void record_error(Scratch::Run& m, const char* what) {
+  std::lock_guard<std::mutex> lock(m.mu);
+  if (m.error.empty()) m.error = what;
+}
+
+// The chunk plan of one execution. Its boundaries are those a single
+// request of the members' combined size would get — equal stripes for
+// Black–Scholes layouts (sizes per kBsChunk above), cost-model-weighted for
+// dynamic scheduling (each chunk carries ~total/K weight, so expensive
+// long-dated options don't all land in one chunk), plain equal-count
+// stripes for static (the classic partition the imbalance experiment
+// compares against) — each moved down to an aligned offset within the
+// member it falls in (kBsAlign for Black–Scholes, kChunkAlign for specs),
+// so every member's options meet the kernel in the lane groups they would
+// have alone. Chunks are then cut at member boundaries into segments.
+// Duplicate boundaries are dropped, so every chunk is non-empty; with one
+// member this is that member's classic partition.
+void plan_segments(const VariantInfo& v, std::span<const GroupJob> group, std::size_t total,
+                   int nparts, arch::Schedule schedule, GroupScratch& gs) {
+  gs.segments.clear();
+  gs.chunks.assign(1, 0);
+  const bool bs = v.layout != Layout::kSpecs;
+  const std::size_t align = bs ? kBsAlign : kChunkAlign;
+  const std::size_t k = std::min(static_cast<std::size_t>(nparts), total);
+  auto size_of = [&](std::size_t j) {
+    const Scratch::Run& m = run_of(group[j]);
+    return m.live ? m.n : 0;
+  };
+  // Segments cover [0, pos); member `em` starts at offset `eoff`.
+  std::size_t pos = 0, em = 0, eoff = 0;
+  auto emit_to = [&](std::size_t b) {
+    while (pos < b) {
+      while (pos >= eoff + size_of(em)) eoff += size_of(em++);
+      const std::size_t end = std::min(b, eoff + size_of(em));
+      gs.segments.push_back({static_cast<std::uint32_t>(em),
+                             static_cast<std::uint32_t>(run_of(group[em]).segments++),
+                             pos - eoff, end - eoff});
+      pos = end;
+    }
+  };
+  // Boundaries arrive in increasing order; member `cm` (at `coff`) holds
+  // the latest.
+  std::size_t cm = 0, coff = 0;
+  auto cut = [&](std::size_t b) {
+    if (b >= total) return;
+    while (b >= coff + size_of(cm)) coff += size_of(cm++);
+    b -= (b - coff) % align;
+    if (b <= pos) return;
+    emit_to(b);
+    gs.chunks.push_back(gs.segments.size());
+  };
+  if (bs) {
+    std::size_t chunk = (total + k - 1) / k;
+    chunk = std::clamp((chunk + kBsAlign - 1) / kBsAlign * kBsAlign, kBsMinChunk, kBsChunk);
+    for (std::size_t b = chunk; b < total; b += chunk) cut(b);
+  } else if (v.item_cost && schedule == arch::Schedule::kDynamic) {
+    auto for_each_cost = [&](auto&& f) {
+      for (const GroupJob& j : group) {
+        const Scratch::Run& m = run_of(j);
+        if (!m.live) continue;
+        for (std::size_t i = 0; i < m.n; ++i) f(v.item_cost(m.view->specs[i], *j.req));
+      }
+    };
+    double sum = 0.0;
+    for_each_cost([&](double c) { sum += c; });
+    const double per_chunk = sum / static_cast<double>(k);
+    double acc = 0.0;
+    std::size_t b = 0;
+    for_each_cost([&](double c) {
+      acc += c;
+      ++b;
+      if (acc >= per_chunk && gs.chunks.size() < k) {
+        cut(b);
+        acc = 0.0;
+      }
+    });
+  } else {
+    for (std::size_t c = 1; c < k; ++c) cut(c * total / k);
+  }
+  emit_to(total);
+  gs.chunks.push_back(gs.segments.size());
+}
 
 }  // namespace
 
@@ -280,403 +348,435 @@ PricingResult Engine::price(const PricingRequest& req) const {
 }
 
 void Engine::price(const PricingRequest& req, PricingResult& res) const {
-  res.ok = false;
-  res.error.clear();
-  res.status.reset();
-  res.kernel_id = req.kernel_id;  // same id on a reused result: no realloc
-  res.resolved_id.clear();
-  res.tuned = false;
-  res.items = 0;
-  res.seconds = 0.0;
-  res.convert_seconds = 0.0;
-  res.convert_bytes = 0;
-  res.values.clear();
-  res.std_errors.clear();
-  res.option_faults.clear();
-  res.chunk_status.clear();
-  res.options_clamped = res.options_skipped = res.options_repaired = 0;
-  res.chunks_degraded = res.chunks_failed = res.chunks_deadline = 0;
-  res.brownout_level = 0;
-  res.npath_applied = 0;
-  res.steps_applied = 0;
-  res.attempts = 1;
+  const GroupJob job{&req, &res};
+  execute({&job, 1}, scratch_of(req).solo);
+}
 
+void Engine::execute(std::span<const GroupJob> group, GroupScratch& gs) const {
   // The flight recorder's join key: one id per engine execution,
-  // process-unique, stamped into every record this run produces.
+  // process-unique, stamped into every record this run produces and into
+  // every member's result.
   static std::atomic<std::uint64_t> request_seq{0};
-  res.request_id = request_seq.fetch_add(1, std::memory_order_relaxed) + 1;
-
-  // Mirrors the structured status into the legacy ok/error pair and
-  // returns; every exit below goes through this (and bumps the
-  // status-labeled outcome counter).
-  auto finish = [&res](robust::Status status) {
-    res.status = std::move(status);
-    res.ok = res.status.ok();
-    if (res.status.code() != robust::StatusCode::kOk) res.error = res.status.to_string();
-    count_status(res.status.code());
-  };
+  const std::uint64_t request_id = request_seq.fetch_add(1, std::memory_order_relaxed) + 1;
 
   // Resolve the kernel id — a concrete registry id passes through, an auto
   // intent ("blackscholes.auto") resolves to a DispatchPlan (cache hit or
   // a one-time race) whose schedule/chunks_per_thread govern execution
-  // below. Resolution happens before the deadline is armed: the race is a
-  // once-per-key warm-up cost, not part of the priced run. (An auto intent
-  // over an empty workload is rejected inside resolve_dispatch — racing
-  // nothing would persist a meaningless plan.)
-  ResolvedDispatch rd = resolve_dispatch(*this, req);
-  if (rd.v == nullptr) {
-    finish(std::move(rd.error));
-    return;
-  }
+  // below. The group shares the first member's resolution (Engine::fusable
+  // held every member to the same plan). Resolution happens before the
+  // deadline is armed: the race is a once-per-key warm-up cost, not part of
+  // the priced run. (An auto intent over an empty workload is rejected
+  // inside resolve_dispatch — racing nothing would persist a meaningless
+  // plan.)
+  const ResolvedDispatch rd = resolve_dispatch(*this, *group[0].req);
   const VariantInfo* v = rd.v;
-  res.resolved_id = v->id;
-  res.tuned = rd.tuned;
-  res.layout = v->layout;
-  const std::size_t n = req.portfolio.size();
-  if (n == 0) {
-    finish(robust::Status::invalid_argument(
-        "variant '" + v->id + "' got an empty workload (layout " +
-        std::string(to_string(req.portfolio.layout)) + ")"));
-    return;
-  }
-
-  // The engine's working view: same arrays as the caller's, but a local
-  // object, so the sanitizer may repair shared BS scalars and the specs
-  // span may be re-pointed at the sanitized copy without touching req.
-  core::PortfolioView working = req.portfolio;
-  Scratch& s = scratch_of(req);
-
-  // Intra-option task handoff: with the resolved task mode on, variant
-  // adapters may decompose expensive options into nested fork-join tasks
-  // on the engine's pool (engine/task_group.hpp). Re-stamped every pricing
-  // — the resolved mode can change between repetitions (tuner, pins).
-  s.tasks_on = rd.tasks;
-  s.task_pool = rd.tasks ? pool_ : nullptr;
-
-  // Per-kernel latency instruments, resolved once per kernel id: the
-  // registry lookup builds label strings and takes a mutex, so repeated
-  // pricings of the same request must go through these cached handles
-  // (the steady-state path stays allocation-free).
-  if (s.hist_kernel_id != v->id) {
-    std::string labels = "kernel=\"";
-    labels += v->id;
-    labels += "\",layout=\"";
-    labels += to_string(v->layout);
-    labels += '"';
-    s.hist_request = &obs::histogram("engine.request.seconds", labels);
-    s.hist_chunk = &obs::histogram("engine.chunk.seconds", labels);
-    s.flight = &obs::flight_recorder();
-    s.hist_kernel_id = v->id;
-    s.breaker = nullptr;  // re-resolve below: the variant changed
-  }
-
-  // The executed variant's circuit breaker, cached with the histogram
-  // handles; the generation guard re-resolves after a registry reset
-  // (tests, chaos scenario boundaries) so the handle never dangles.
-  {
-    resilience::BreakerRegistry& brk = resilience::BreakerRegistry::instance();
-    const std::uint64_t gen = brk.generation();
-    if (s.breaker == nullptr || s.breaker_gen != gen) {
-      s.breaker = &brk.of(v->id);
-      s.breaker_gen = gen;
-    }
-  }
-
   // Black–Scholes layouts with a range adapter price in chunks on the pool,
-  // each chunk checking its inputs, pricing, and guarding its own outputs;
-  // every other BS variant runs whole-batch.
-  const bool bs_chunked = v->run_range != nullptr && v->layout != Layout::kSpecs;
+  // each chunk checking its inputs, pricing, and guarding its own outputs.
+  const bool bs_chunked = v != nullptr && v->run_range != nullptr && v->layout != Layout::kSpecs;
 
-  // --- Input sanitization --------------------------------------------------
-  // A chunked BS request under kSkip/kClamp with clean shared parameters
-  // defers the per-option scan to its chunks (scan_in_chunks); kReject and
-  // shared-parameter faults take the full serial scan first, so a
-  // rejected request prices nothing.
-  robust::SanitizeReport& san = s.sanitize_report;
-  san.reset();
-  const bool scan_in_chunks = bs_chunked && req.sanitize != robust::SanitizePolicy::kOff &&
-                              req.sanitize != robust::SanitizePolicy::kReject &&
-                              robust::bs_shared_clean(working);
-  if (req.sanitize != robust::SanitizePolicy::kOff && !scan_in_chunks) {
-    robust::sanitize(working, req.sanitize, san);
-    if (!san.clean()) {
-      if (req.sanitize == robust::SanitizePolicy::kReject) {
-        res.option_faults = san.mask;
-        finish(robust::Status::invalid_input(
-            "workload rejected: " + std::to_string(san.faulty) + " of " + std::to_string(n) +
-            " option(s) failed sanitization (see PricingResult::option_faults)"));
-        return;
-      }
-      if (working.layout == Layout::kSpecs) {
-        // The caller's specs are immutable through the view: price a
-        // policy-applied copy instead (kept in Scratch; the buffer is
-        // reused across repetitions of this request).
-        s.sanitized_specs.resize(n);
-        robust::sanitize_specs(working.specs, s.sanitized_specs, req.sanitize, san);
-        working.specs = {s.sanitized_specs.data(), n};
-      }
-      res.option_faults = san.mask;
-      res.options_clamped = san.clamped;
-      res.options_skipped = san.skipped;
+  // --- Member set-up -------------------------------------------------------
+  // Each member is reset, sanitized and negotiated on its own; a member
+  // that cannot be priced concludes here and takes no part in the run.
+  std::size_t total = 0, live = 0;
+  for (const GroupJob& j : group) {
+    const PricingRequest& req = *j.req;
+    PricingResult& res = *j.res;
+    reset_result(res, req, request_id);
+    Scratch& s = claim_scratch(req, request_id);
+    Scratch::Run& m = s.run;
+    m.live = m.negotiated = m.scan = m.rescan = false;
+    m.n = m.segments = m.priced = 0;
+    m.repaired.store(0, std::memory_order_relaxed);
+    m.error.clear();
+    if (v == nullptr) {
+      finish(res, rd.error);
+      continue;
     }
+    res.resolved_id = v->id;
+    res.tuned = rd.tuned;
+    res.layout = v->layout;
+    const std::size_t n = req.portfolio.size();
+    if (n == 0) {
+      finish(res, robust::Status::invalid_argument(
+                      "variant '" + v->id + "' got an empty workload (layout " +
+                      std::string(to_string(req.portfolio.layout)) + ")"));
+      continue;
+    }
+    // The engine's working view: same arrays as the caller's, but a local
+    // object, so the sanitizer may repair shared BS scalars and the specs
+    // span may be re-pointed at the sanitized copy without touching req.
+    m.working = req.portfolio;
+
+    // Intra-option task handoff: with the resolved task mode on, variant
+    // adapters may decompose expensive options into nested fork-join tasks
+    // on the engine's pool (engine/task_group.hpp). Re-stamped every
+    // pricing — the resolved mode can change between repetitions (tuner,
+    // pins).
+    s.tasks_on = rd.tasks;
+    s.task_pool = rd.tasks ? pool_ : nullptr;
+
+    // Per-kernel latency instruments, resolved once per kernel id: the
+    // registry lookup builds label strings and takes a mutex, so repeated
+    // pricings of the same request must go through these cached handles
+    // (the steady-state path stays allocation-free).
+    if (s.hist_kernel_id != v->id) {
+      std::string labels = "kernel=\"";
+      labels += v->id;
+      labels += "\",layout=\"";
+      labels += to_string(v->layout);
+      labels += '"';
+      s.hist_request = &obs::histogram("engine.request.seconds", labels);
+      s.hist_chunk = &obs::histogram("engine.chunk.seconds", labels);
+      s.flight = &obs::flight_recorder();
+      s.hist_kernel_id = v->id;
+      s.breaker = nullptr;  // re-resolve below: the variant changed
+    }
+
+    // The executed variant's circuit breaker, cached with the histogram
+    // handles; the generation guard re-resolves after a registry reset
+    // (tests, chaos scenario boundaries) so the handle never dangles.
+    {
+      resilience::BreakerRegistry& brk = resilience::BreakerRegistry::instance();
+      const std::uint64_t gen = brk.generation();
+      if (s.breaker == nullptr || s.breaker_gen != gen) {
+        s.breaker = &brk.of(v->id);
+        s.breaker_gen = gen;
+      }
+    }
+
+    // --- Input sanitization ------------------------------------------------
+    // A chunked BS member under kSkip/kClamp with clean shared parameters
+    // defers the per-option scan to its chunks (Run::scan); kReject and
+    // shared-parameter faults take the full serial scan first, so a
+    // rejected member prices nothing.
+    robust::SanitizeReport& san = s.sanitize_report;
+    san.reset();
+    m.scan = bs_chunked && req.sanitize != robust::SanitizePolicy::kOff &&
+             req.sanitize != robust::SanitizePolicy::kReject &&
+             robust::bs_shared_clean(m.working);
+    if (req.sanitize != robust::SanitizePolicy::kOff && !m.scan) {
+      robust::sanitize(m.working, req.sanitize, san);
+      if (!san.clean()) {
+        if (req.sanitize == robust::SanitizePolicy::kReject) {
+          res.option_faults = san.mask;
+          finish(res, robust::Status::invalid_input(
+                          "workload rejected: " + std::to_string(san.faulty) + " of " +
+                          std::to_string(n) +
+                          " option(s) failed sanitization (see PricingResult::option_faults)"));
+          continue;
+        }
+        if (m.working.layout == Layout::kSpecs) {
+          // The caller's specs are immutable through the view: price a
+          // policy-applied copy instead (kept in Scratch; the buffer is
+          // reused across repetitions of this request).
+          s.sanitized_specs.resize(n);
+          robust::sanitize_specs(m.working.specs, s.sanitized_specs, req.sanitize, san);
+          m.working.specs = {s.sanitized_specs.data(), n};
+        }
+        res.option_faults = san.mask;
+        res.options_clamped = san.clamped;
+        res.options_skipped = san.skipped;
+      }
+    }
+
+    // --- Layout negotiation ------------------------------------------------
+    // A convertible mismatch is converted once into the member's arena and
+    // cached; repetitions reuse the converted view, refresh its inputs from
+    // the caller's (which may have changed in place) and pay the output
+    // writeback. The one-time conversion cost travels on every result so a
+    // single-shot caller still sees what negotiation cost them.
+    m.view = &m.working;
+    if (m.working.layout != v->layout) {
+      if (!core::convertible(m.working.layout, v->layout)) {
+        finish(res, robust::Status::invalid_argument(
+                        "variant '" + v->id + "' needs a " + std::string(to_string(v->layout)) +
+                        " workload; the request carries " +
+                        std::string(to_string(m.working.layout)) + " (not convertible)"));
+        continue;
+      }
+      const void* key = workload_data_key(m.working);
+      if (!s.has_negotiated || s.negotiated_src != key || s.negotiated_n != n ||
+          s.negotiated_from != m.working.layout || s.negotiated_to != v->layout) {
+        s.arena.reset();
+        s.negotiated = core::convert(m.working, v->layout, s.arena, &s.convert_stats);
+        s.has_negotiated = true;
+        s.negotiated_src = key;
+        s.negotiated_n = n;
+        s.negotiated_from = m.working.layout;
+        s.negotiated_to = v->layout;
+        static obs::Counter& converts = obs::counter("engine.layout_converts");
+        static obs::Counter& cbytes = obs::counter("engine.convert.bytes");
+        static obs::Stat& csecs = obs::stat("engine.convert.seconds");
+        converts.add(1);
+        cbytes.add(s.convert_stats.bytes);
+        csecs.record(s.convert_stats.seconds);
+      } else {
+        core::copy_inputs(m.working, s.negotiated);
+      }
+      m.view = &s.negotiated;
+      m.negotiated = true;
+      res.convert_seconds = s.convert_stats.seconds;
+      res.convert_bytes = s.convert_stats.bytes;
+    }
+    m.n = n;
+    m.live = true;
+    total += n;
+    ++live;
   }
+  if (live == 0) return;
 
   // --- Deadline / cancellation ---------------------------------------------
-  robust::CancelToken& token = s.token;
-  token.reset();
-  token.set_parent(req.cancel);
-  if (req.deadline_seconds > 0.0) token.set_deadline_after(req.deadline_seconds);
-  const bool has_deadline = req.deadline_seconds > 0.0 || req.cancel != nullptr;
-  const robust::CancelToken* cancel = has_deadline ? &token : nullptr;
-
-  // --- Layout negotiation --------------------------------------------------
-  // A convertible mismatch is converted once into the request's arena and
-  // cached; repetitions reuse the converted view, refresh its inputs from
-  // the caller's (which may have changed in place) and pay the output
-  // writeback. The one-time conversion cost travels on every result so a
-  // single-shot caller still sees what negotiation cost them.
-  const core::PortfolioView* view = &working;
-  bool negotiated = false;
-  if (working.layout != v->layout) {
-    if (!core::convertible(working.layout, v->layout)) {
-      finish(robust::Status::invalid_argument(
-          "variant '" + v->id + "' needs a " + std::string(to_string(v->layout)) +
-          " workload; the request carries " + std::string(to_string(working.layout)) +
-          " (not convertible)"));
-      return;
+  // The group runs under one deadline: the override, else the most urgent
+  // member's. Its token (in the first member's Scratch) is polled by the
+  // pool at chunk boundaries; each member's own cancel token is polled
+  // before each of its segments.
+  robust::CancelToken& token = group[0].req->scratch->token;
+  double deadline = gs.deadline_seconds;
+  if (deadline <= 0.0) {
+    for (const GroupJob& j : group) {
+      const double d = j.req->deadline_seconds;
+      if (d > 0.0 && (deadline <= 0.0 || d < deadline)) deadline = d;
     }
-    const void* key = workload_data_key(working);
-    if (!s.has_negotiated || s.negotiated_src != key || s.negotiated_n != n ||
-        s.negotiated_from != working.layout || s.negotiated_to != v->layout) {
-      s.arena.reset();
-      s.negotiated = core::convert(working, v->layout, s.arena, &s.convert_stats);
-      s.has_negotiated = true;
-      s.negotiated_src = key;
-      s.negotiated_n = n;
-      s.negotiated_from = working.layout;
-      s.negotiated_to = v->layout;
-      static obs::Counter& converts = obs::counter("engine.layout_converts");
-      static obs::Counter& cbytes = obs::counter("engine.convert.bytes");
-      static obs::Stat& csecs = obs::stat("engine.convert.seconds");
-      converts.add(1);
-      cbytes.add(s.convert_stats.bytes);
-      csecs.record(s.convert_stats.seconds);
-    } else {
-      core::copy_inputs(working, s.negotiated);
-    }
-    view = &s.negotiated;
-    negotiated = true;
-    res.convert_seconds = s.convert_stats.seconds;
-    res.convert_bytes = s.convert_stats.bytes;
   }
+  token.reset();
+  token.set_parent(nullptr);
+  if (deadline > 0.0) token.set_deadline_after(deadline);
+  const robust::CancelToken* cancel = deadline > 0.0 ? &token : nullptr;
+  auto expired = [cancel](const PricingRequest& req) {
+    return (cancel != nullptr && cancel->expired()) ||
+           (req.cancel != nullptr && req.cancel->expired());
+  };
 
   static obs::Counter& c_requests = obs::counter("engine.requests");
   static obs::Counter& c_items = obs::counter("engine.items");
-  c_requests.add(1);
+  c_requests.add(live);
   FINBENCH_SPAN("engine.price");
   arch::WallTimer t;
 
-  // Final bookkeeping shared by both execution shapes: NaN out the
-  // sanitizer-skipped outputs, aggregate a Status from what happened.
-  auto aggregate = [&](RunErrors& errors, std::size_t priced_items) {
-    // Score this execution on the variant's circuit breaker — except for
-    // requests carrying an injected FaultPlan, whose failures are test
-    // machinery, not variant health (variant-scoped chaos faults do not
-    // ride on the request and therefore do count).
-    if (!req.faults.any() && s.breaker != nullptr &&
-        resilience::BreakerRegistry::instance().enabled()) {
-      resilience::Outcome oc = resilience::Outcome::kOk;
-      if (res.chunks_failed > 0) {
-        oc = resilience::Outcome::kError;
-      } else if (res.chunks_deadline > 0) {
-        oc = resilience::Outcome::kDeadlineMiss;
-      } else if (res.chunks_degraded > 0) {
-        oc = resilience::Outcome::kQuarantine;
-      }
-      s.breaker->record(oc);
+  // Score this execution once on the variant's circuit breaker — except
+  // when a member carries an injected FaultPlan, whose failures are test
+  // machinery, not variant health (variant-scoped chaos faults do not
+  // ride on the request and therefore do count).
+  auto score_breaker = [&] {
+    if (!resilience::BreakerRegistry::instance().enabled()) return;
+    resilience::Breaker* breaker = nullptr;
+    std::size_t failed = 0, late = 0, degraded = 0;
+    for (const GroupJob& j : group) {
+      if (!run_of(j).live) continue;
+      if (j.req->faults.any()) return;
+      breaker = j.req->scratch->breaker;
+      failed += j.res->chunks_failed;
+      late += j.res->chunks_deadline;
+      degraded += j.res->chunks_degraded;
     }
+    if (breaker == nullptr) return;
+    breaker->record(failed > 0     ? resilience::Outcome::kError
+                    : late > 0     ? resilience::Outcome::kDeadlineMiss
+                    : degraded > 0 ? resilience::Outcome::kQuarantine
+                                   : resilience::Outcome::kOk);
+  };
+
+  // A member's final bookkeeping: NaN out its sanitizer-skipped outputs,
+  // aggregate a Status from what happened to it.
+  auto conclude = [&](const GroupJob& j) {
+    const PricingRequest& req = *j.req;
+    PricingResult& res = *j.res;
+    Scratch& s = *req.scratch;
+    Scratch::Run& m = s.run;
+    m.live = false;
+    const std::size_t n = m.n, priced = m.priced;
     if (!res.option_faults.empty()) {
       mask_skipped_outputs(res.option_faults, res.values, res.std_errors,
-                           negotiated ? req.portfolio : working);
+                           m.negotiated ? req.portfolio : m.working);
     }
-    res.items = priced_items;
+    res.items = priced;
     res.seconds = t.seconds();
     s.hist_request->record_seconds(res.seconds);
-    c_items.add(priced_items);
+    c_items.add(priced);
     if (res.chunks_failed > 0) {
       obs::flight_auto_dump("kernel_error");
-      finish(robust::Status::kernel_error(
-          std::to_string(res.chunks_failed) + " chunk(s) unrecoverable (" + errors.first +
-          "); " + std::to_string(priced_items) + " of " + std::to_string(n) +
-          " option(s) priced"));
+      finish(res, robust::Status::kernel_error(
+                      std::to_string(res.chunks_failed) + " chunk(s) unrecoverable (" + m.error +
+                      "); " + std::to_string(priced) + " of " + std::to_string(n) +
+                      " option(s) priced"));
       return;
     }
     if (res.chunks_deadline > 0) {
       obs::counter("robust.deadline.expired").add(1);
       obs::flight_auto_dump("deadline_exceeded");
-      finish(robust::Status::deadline_exceeded(
-          "deadline expired: " + std::to_string(priced_items) + " of " + std::to_string(n) +
-          " option(s) priced (" + std::to_string(res.chunks_deadline) +
-          " chunk(s) skipped; see PricingResult::chunk_status)"));
+      finish(res, robust::Status::deadline_exceeded(
+                      "deadline expired: " + std::to_string(priced) + " of " + std::to_string(n) +
+                      " option(s) priced (" + std::to_string(res.chunks_deadline) +
+                      " chunk(s) skipped; see PricingResult::chunk_status)"));
       return;
     }
     if (res.chunks_degraded > 0 || res.options_clamped > 0 || res.options_skipped > 0 ||
         res.options_repaired > 0) {
       if (res.chunks_degraded > 0) obs::flight_auto_dump("quarantine");
-      finish(robust::Status::degraded(
-          "degraded: " + std::to_string(res.options_clamped) + " clamped, " +
-          std::to_string(res.options_skipped) + " skipped, " +
-          std::to_string(res.options_repaired) + " repaired option(s), " +
-          std::to_string(res.chunks_degraded) + " fallback chunk(s)"));
+      finish(res, robust::Status::degraded(
+                      "degraded: " + std::to_string(res.options_clamped) + " clamped, " +
+                      std::to_string(res.options_skipped) + " skipped, " +
+                      std::to_string(res.options_repaired) + " repaired option(s), " +
+                      std::to_string(res.chunks_degraded) + " fallback chunk(s)"));
       return;
     }
-    finish(robust::Status{});
+    finish(res, robust::Status{});
   };
 
   // --- Whole-batch execution -----------------------------------------------
-  // No range adapter, or a single spec to price. Black–Scholes variants
-  // without run_range land here; a negotiated run's outputs are written
-  // into the converted arrays, so each run ends with a writeback into the
-  // caller's portfolio — inside the timer, so res.seconds stays honest
-  // about what the caller's layout really costs. The whole batch is one
-  // unit of failure/fallback accounting; the cooperative deadline is only
-  // checked before the kernel runs.
-  if (!v->run_range || (v->layout == Layout::kSpecs && n < 2)) {
-    RunErrors errors;
-    // The whole batch is one chunk of flight-recorder accounting: one
-    // record covering [0, n), one sample in the per-chunk histogram.
-    auto record_flight = [&](const char* status, double start_us, double end_us) {
-      obs::FlightRecord fr;
-      fr.request_id = res.request_id;
-      fr.chunk = 0;
-      fr.worker = -1;
-      fr.begin = 0;
-      fr.end = n;
-      fr.start_us = start_us;
-      fr.end_us = end_us;
-      fr.set_kernel(v->id.c_str());
-      fr.set_status(status);
-      s.flight->record(fr);
-    };
-    if (cancel != nullptr && cancel->expired()) {
-      res.chunks_deadline = 1;
-      record_flight("deadline", 0.0, 0.0);
-      aggregate(errors, 0);
-      return;
-    }
-    const double batch_start_us = obs::trace::now_us();
-    bool priced = false;
-    try {
-      if (req.faults.any_engine_side()) inject_chunk_faults(req.faults, 0);
-      if (resilience::chaos_active()) resilience::maybe_inject(v->id.c_str(), res.request_id, 0);
-      v->run_batch(req, *view, res);
-      priced = true;
-    } catch (const std::exception& e) {
-      errors.record(e.what());
-    } catch (...) {
-      errors.record("non-std exception from kernel");
-    }
-    if (priced && req.faults.corrupt > 0.0) {
-      if (robust::is_bs_layout(*view)) {
-        inject_corrupt_bs(*view, req.faults, 0, n);
-      } else {
-        inject_corrupt_values(res.values, 0, req.faults);
+  // Variants without a range adapter never fuse (Engine::fusable), so a
+  // group here is one member; each member would be one batch. A negotiated
+  // run's outputs are written into the converted arrays, so each run ends
+  // with a writeback into the caller's portfolio — inside the timer, so
+  // res.seconds stays honest about what the caller's layout really costs.
+  // The whole batch is one unit of failure/fallback accounting; the
+  // cooperative deadline is only checked before the kernel runs.
+  if (!v->run_range) {
+    for (const GroupJob& j : group) {
+      if (!run_of(j).live) continue;
+      const PricingRequest& req = *j.req;
+      PricingResult& res = *j.res;
+      Scratch& s = *req.scratch;
+      Scratch::Run& m = s.run;
+      const core::PortfolioView& view = *m.view;
+      const std::size_t n = m.n;
+      // The whole batch is one chunk of flight-recorder accounting: one
+      // record covering [0, n), one sample in the per-chunk histogram.
+      auto record_flight = [&](const char* status, double start_us, double end_us) {
+        obs::FlightRecord fr;
+        fr.request_id = request_id;
+        fr.chunk = 0;
+        fr.worker = -1;
+        fr.begin = 0;
+        fr.end = n;
+        fr.start_us = start_us;
+        fr.end_us = end_us;
+        fr.set_kernel(v->id.c_str());
+        fr.set_status(status);
+        s.flight->record(fr);
+      };
+      if (expired(req)) {
+        res.chunks_deadline = 1;
+        record_flight("deadline", 0.0, 0.0);
+        continue;
       }
-    }
-    if (!priced && req.fallback) {
-      // Walk the fallback chain through same-layout batch variants; for a
-      // BS batch an exhausted chain still has the scalar closed form as
-      // the terminal repair.
-      for (const VariantInfo* fb = fallback_of(*v); fb != nullptr && !priced;
-           fb = fallback_of(*fb)) {
-        if (fb->layout != view->layout || fb->run_batch == nullptr) break;
-        if (fb->european_only && view->layout == Layout::kSpecs &&
-            range_has_american(view->specs, 0, n)) {
-          continue;
+      const double batch_start_us = obs::trace::now_us();
+      bool priced = false;
+      try {
+        if (req.faults.any_engine_side()) inject_chunk_faults(req.faults, 0);
+        if (resilience::chaos_active()) resilience::maybe_inject(v->id.c_str(), request_id, 0);
+        v->run_batch(req, view, res);
+        priced = true;
+      } catch (const std::exception& e) {
+        record_error(m, e.what());
+      } catch (...) {
+        record_error(m, "non-std exception from kernel");
+      }
+      if (priced && req.faults.corrupt > 0.0) {
+        if (robust::is_bs_layout(view)) {
+          inject_corrupt_bs(view, req.faults, 0, n);
+        } else {
+          inject_corrupt_values(res.values, 0, req.faults);
         }
-        PricingRequest sub = req;
-        sub.kernel_id = fb->id;
-        sub.faults = {};  // never inject into the repair path
-        sub.scratch.reset();
-        try {
-          fb->run_batch(sub, *view, res);
-          priced = true;
+      }
+      if (!priced && req.fallback) {
+        // Walk the fallback chain through same-layout batch variants; for a
+        // BS batch an exhausted chain still has the scalar closed form as
+        // the terminal repair.
+        for (const VariantInfo* fb = fallback_of(*v); fb != nullptr && !priced;
+             fb = fallback_of(*fb)) {
+          if (fb->layout != view.layout || fb->run_batch == nullptr) break;
+          if (fb->european_only && view.layout == Layout::kSpecs &&
+              range_has_american(view.specs, 0, n)) {
+            continue;
+          }
+          PricingRequest sub = req;
+          sub.kernel_id = fb->id;
+          sub.faults = {};  // never inject into the repair path
+          sub.scratch.reset();
+          try {
+            fb->run_batch(sub, view, res);
+            priced = true;
+            res.chunks_degraded = 1;
+            obs::counter("robust.fallback.chunks").add(1);
+          } catch (...) {
+            // keep walking the chain
+          }
+        }
+        if (!priced && robust::is_bs_layout(view)) {
+          repair_bs_range(view, 0, n);
+          res.options_repaired += n;
           res.chunks_degraded = 1;
           obs::counter("robust.fallback.chunks").add(1);
-        } catch (...) {
-          // keep walking the chain
+          priced = true;
         }
       }
-      if (!priced && robust::is_bs_layout(*view)) {
-        repair_bs_range(*view, 0, n);
-        res.options_repaired += n;
-        res.chunks_degraded = 1;
-        obs::counter("robust.fallback.chunks").add(1);
-        priced = true;
+      if (!priced) {
+        res.chunks_failed = 1;
+        obs::counter("robust.fallback.exhausted").add(1);
+        record_flight("failed", batch_start_us, obs::trace::now_us());
+        continue;
       }
-    }
-    if (!priced) {
-      res.chunks_failed = 1;
-      obs::counter("robust.fallback.exhausted").add(1);
-      res.seconds = t.seconds();
-      record_flight("failed", batch_start_us, obs::trace::now_us());
-      aggregate(errors, 0);
-      return;
-    }
-    // Output guardrails. BS batches repair violating options in place
-    // with the scalar closed form; values-producing batches that fail the
-    // guard re-price through the chain above on the next failure class
-    // (statistical estimators get finiteness-only checks).
-    if (req.guard.mode != robust::GuardMode::kOff) {
-      if (robust::is_bs_layout(*view)) {
-        const std::size_t repaired =
-            robust::guard_and_repair_bs(*view, req.guard, res.option_faults);
-        res.options_repaired += repaired;
-      } else if (!res.values.empty() && view->layout == Layout::kSpecs) {
-        std::size_t first = 0;
-        const std::size_t bad =
-            robust::guard_specs_range(view->specs, res.values, req.guard, v->statistical,
-                                      res.option_faults, 0, &first);
-        if (bad > 0) {
-          // Terminal repair for a deterministic specs value: there is no
-          // cheaper honest number than the family reference; re-pricing
-          // per option through run_batch is the chunked path's job. Here
-          // the violating values are disclosed as failures.
-          errors.record("output guard failed");
+      // Output guardrails. BS batches repair violating options in place
+      // with the scalar closed form; a values-producing batch that fails the
+      // guard discloses the violating values as a failure (there is no
+      // cheaper honest number than the family reference, and re-pricing per
+      // option is the chunked path's job; statistical estimators get
+      // finiteness-only checks).
+      if (req.guard.mode != robust::GuardMode::kOff) {
+        if (robust::is_bs_layout(view)) {
+          res.options_repaired += robust::guard_and_repair_bs(view, req.guard, res.option_faults);
+        } else if (!res.values.empty() && view.layout == Layout::kSpecs &&
+                   robust::guard_specs_range(view.specs, res.values, req.guard, v->statistical,
+                                             res.option_faults, 0) > 0) {
+          record_error(m, "output guard failed");
           res.chunks_failed = 1;
         }
       }
+      if (m.negotiated) core::copy_outputs(view, req.portfolio);
+      const double batch_end_us = obs::trace::now_us();
+      s.hist_chunk->record_seconds((batch_end_us - batch_start_us) * 1e-6);
+      record_flight(res.chunks_failed != 0     ? "failed"
+                    : res.chunks_degraded != 0 ? "degraded"
+                                               : "ok",
+                    batch_start_us, batch_end_us);
+      m.priced = res.chunks_failed == 0 ? (res.items != 0 ? res.items : n) : 0;
     }
-    if (negotiated) core::copy_outputs(*view, req.portfolio);
-    const double batch_end_us = obs::trace::now_us();
-    s.hist_chunk->record_seconds((batch_end_us - batch_start_us) * 1e-6);
-    record_flight(res.chunks_failed != 0     ? "failed"
-                  : res.chunks_degraded != 0 ? "degraded"
-                                             : "ok",
-                  batch_start_us, batch_end_us);
-    aggregate(errors, res.chunks_failed == 0 ? (res.items != 0 ? res.items : n) : 0);
+    score_breaker();
+    for (const GroupJob& j : group) {
+      if (run_of(j).live) conclude(j);
+    }
     return;
   }
 
   // --- Chunked execution ---------------------------------------------------
-  // kSpecs chunks write res.values; Black–Scholes chunks write the view's
+  // Every member's segments run on the pool. kSpecs segments write the
+  // member's res.values; Black–Scholes segments write the member's view's
   // call/put arrays and each runs, on the worker that owns it: the input
-  // check (when the scan is deferred), the kernel with its in-register
-  // output probe, and a guard pass over its own range only when the probe
-  // failed, the guard checks bounds, faults are injected or a sanitizer
-  // mask exists.
-  if (!bs_chunked) {
-    res.values.assign(n, 0.0);
-    if (v->has_std_error) res.std_errors.assign(n, 0.0);
-  }
-  if (v->prepare) {
-    try {
-      v->prepare(req, *view);
-    } catch (const std::exception& e) {
-      finish(robust::Status::kernel_error("variant '" + v->id + "' prepare failed: " + e.what()));
-      return;
+  // check (when the scan is deferred), the kernel with its output probe,
+  // and a guard pass over its own range only when the probe failed, the
+  // guard checks bounds, faults are injected or a sanitizer mask exists.
+  for (const GroupJob& j : group) {
+    const PricingRequest& req = *j.req;
+    PricingResult& res = *j.res;
+    Scratch::Run& m = run_of(j);
+    if (!m.live) continue;
+    if (!bs_chunked) {
+      res.values.assign(m.n, 0.0);
+      if (v->has_std_error) res.std_errors.assign(m.n, 0.0);
+    }
+    if (v->prepare) {
+      try {
+        v->prepare(req, *m.view);
+      } catch (const std::exception& e) {
+        m.live = false;
+        total -= m.n;
+        finish(res, robust::Status::kernel_error("variant '" + v->id + "' prepare failed: " +
+                                                 e.what()));
+      }
     }
   }
+  if (total == 0) return;
 
   // Effective scheduling: the request's values for explicit dispatch, the
   // resolved plan's for auto (pins keep the caller's value — see
@@ -687,211 +787,234 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
   const int nparts = schedule == arch::Schedule::kDynamic && !bs_chunked
                          ? P * std::max(1, rd.chunks_per_thread)
                          : P;
-  const std::vector<std::size_t>& bounds = chunk_bounds(*v, req, *view, n, nparts, schedule);
-  const std::size_t nchunks = bounds.size() - 1;
-  res.chunk_status.assign(nchunks, static_cast<std::uint8_t>(ChunkStatus::kNotRun));
+  plan_segments(*v, group, total, nparts, schedule, gs);
+  for (const GroupJob& j : group) {
+    if (run_of(j).live) {
+      j.res->chunk_status.assign(run_of(j).segments,
+                                 static_cast<std::uint8_t>(ChunkStatus::kNotRun));
+    }
+  }
+  const std::size_t nchunks = gs.chunks.size() - 1;
   const char* site =
       schedule == arch::Schedule::kDynamic ? "engine.dynamic" : "engine.static";
 
-  RunErrors errors;
-  std::atomic<std::size_t> bs_repaired{0};
-
   // One-pointer capture: the closure fits std::function's small-buffer
-  // optimization, so submitting the run allocates nothing. Kernel
-  // exceptions are contained per chunk — the chunk is marked kFailed for
-  // the fallback pass below and the pool never sees a failure, so the
-  // remaining chunks still execute.
+  // optimization, so submitting the run allocates nothing. A chunk runs
+  // its segments that have not priced yet; kernel exceptions are contained
+  // per segment — the segment is marked kFailed for the fallback pass below
+  // and the pool never sees a failure, so the remaining work still runs.
+  // A variant-scoped chaos fault is decided once per chunk: a slowed chunk
+  // sleeps once, a thrown fault fails every segment the chunk prices.
   struct ChunkCtx {
     const VariantInfo* v;
-    const PricingRequest* req;
-    const core::PortfolioView* view;
-    const std::size_t* bounds;
-    PricingResult* res;
-    RunErrors* errors;
-    obs::Histogram* hist_chunk;
-    obs::FlightRecorder* flight;
-    std::atomic<std::size_t>* bs_repaired;
+    const GroupJob* group;
+    const GroupScratch::Segment* segs;
+    const std::size_t* chunks;
     const std::size_t* remap;  // rerun pass: run index -> chunk index
-    bool inject;
-    bool guard_on;
+    std::uint64_t request_id;
     bool bs;
-    bool scan;  // deferred input check
   };
-  ChunkCtx ctx{v,
-               &req,
-               view,
-               bounds.data(),
-               &res,
-               &errors,
-               s.hist_chunk,
-               s.flight,
-               &bs_repaired,
-               /*remap=*/nullptr,
-               /*inject=*/req.faults.any_engine_side(),
-               /*guard_on=*/req.guard.mode != robust::GuardMode::kOff,
-               /*bs=*/bs_chunked,
-               /*scan=*/scan_in_chunks};
+  ChunkCtx ctx{v,       group.data(), gs.segments.data(), gs.chunks.data(), /*remap=*/nullptr,
+               request_id, bs_chunked};
   const auto run_chunk = [&ctx](std::ptrdiff_t k) {
     FINBENCH_SPAN("engine.chunk");
     const std::size_t c = ctx.remap != nullptr ? ctx.remap[k] : static_cast<std::size_t>(k);
-    const std::size_t begin = ctx.bounds[c];
-    const std::size_t end = ctx.bounds[c + 1];
-    const PricingRequest& req = *ctx.req;
-    PricingResult& res = *ctx.res;
-    std::uint8_t& slot = res.chunk_status[c];
-    const double start_us = obs::trace::now_us();
-    try {
-      if (ctx.scan && !robust::bs_inputs_clean(*ctx.view, begin, end)) {
-        slot = kChunkRescan;  // outputs left alone; re-run after sanitize
-      } else {
-        if (ctx.inject) inject_chunk_faults(req.faults, static_cast<std::ptrdiff_t>(c));
-        if (resilience::chaos_active()) {
-          resilience::maybe_inject(ctx.v->id.c_str(), res.request_id, c);
-        }
-        const bool finite = ctx.v->run_range(req, *ctx.view, begin, end, res);
-        if (ctx.bs) {
-          bool guard = !finite || req.guard.mode == robust::GuardMode::kFull ||
-                       !res.option_faults.empty();
-          if (req.faults.corrupt > 0.0) {
-            inject_corrupt_bs(*ctx.view, req.faults, begin, end);
-            guard = true;
-          }
-          if (ctx.guard_on && guard) {
-            ctx.bs_repaired->fetch_add(robust::guard_and_repair_bs(
-                *ctx.view, req.guard, res.option_faults, begin, end));
-          }
-          slot = static_cast<std::uint8_t>(ChunkStatus::kOk);
-        } else {
-          if (req.faults.corrupt > 0.0) {
-            inject_corrupt_values({res.values.data() + begin, end - begin}, begin, req.faults);
-          }
-          if (ctx.guard_on &&
-              robust::guard_specs_range(ctx.view->specs.subspan(begin, end - begin),
-                                        {res.values.data() + begin, end - begin}, req.guard,
-                                        ctx.v->statistical, res.option_faults, begin) > 0) {
-            ctx.errors->record("output guard failed");
-            slot = static_cast<std::uint8_t>(ChunkStatus::kFailed);
-          } else {
-            slot = static_cast<std::uint8_t>(ChunkStatus::kOk);
-          }
-        }
+    std::exception_ptr chaos;
+    if (resilience::chaos_active()) {
+      try {
+        resilience::maybe_inject(ctx.v->id.c_str(), ctx.request_id, c);
+      } catch (...) {
+        chaos = std::current_exception();
       }
-    } catch (const std::exception& e) {
-      ctx.errors->record(e.what());
-      slot = static_cast<std::uint8_t>(ChunkStatus::kFailed);
-    } catch (...) {
-      ctx.errors->record("non-std exception from kernel");
-      slot = static_cast<std::uint8_t>(ChunkStatus::kFailed);
     }
-    const double end_us = obs::trace::now_us();
-    ctx.hist_chunk->record_seconds((end_us - start_us) * 1e-6);
-    obs::FlightRecord fr;
-    fr.request_id = res.request_id;
-    fr.chunk = static_cast<std::uint32_t>(c);
-    fr.worker = ThreadPool::current_participant();
-    fr.begin = begin;
-    fr.end = end;
-    fr.start_us = start_us;
-    fr.end_us = end_us;
-    fr.set_kernel(ctx.v->id.c_str());
-    fr.set_status(slot == static_cast<std::uint8_t>(ChunkStatus::kOk) ? "ok"
-                  : slot == kChunkRescan                               ? "rescan"
-                                                                       : "failed");
-    ctx.flight->record(fr);
+    for (std::size_t i = ctx.chunks[c]; i < ctx.chunks[c + 1]; ++i) {
+      const GroupScratch::Segment& sg = ctx.segs[i];
+      const PricingRequest& req = *ctx.group[sg.member].req;
+      PricingResult& res = *ctx.group[sg.member].res;
+      Scratch& s = *req.scratch;
+      Scratch::Run& m = s.run;
+      std::uint8_t& slot = res.chunk_status[sg.slot];
+      if (slot != static_cast<std::uint8_t>(ChunkStatus::kNotRun) ||
+          (req.cancel != nullptr && req.cancel->expired())) {
+        continue;
+      }
+      const std::size_t begin = sg.begin, end = sg.end;
+      const core::PortfolioView& view = *m.view;
+      const double start_us = obs::trace::now_us();
+      try {
+        if (m.scan && !robust::bs_inputs_clean(view, begin, end)) {
+          slot = kChunkRescan;  // outputs left alone; re-run after sanitize
+        } else {
+          if (req.faults.any_engine_side()) {
+            inject_chunk_faults(req.faults, static_cast<std::ptrdiff_t>(sg.slot));
+          }
+          if (chaos) std::rethrow_exception(chaos);
+          const bool finite = ctx.v->run_range(req, view, begin, end, res);
+          const bool guard_on = req.guard.mode != robust::GuardMode::kOff;
+          if (ctx.bs) {
+            bool guard = !finite || req.guard.mode == robust::GuardMode::kFull ||
+                         !res.option_faults.empty();
+            if (req.faults.corrupt > 0.0) {
+              inject_corrupt_bs(view, req.faults, begin, end);
+              guard = true;
+            }
+            if (guard_on && guard) {
+              m.repaired.fetch_add(
+                  robust::guard_and_repair_bs(view, req.guard, res.option_faults, begin, end));
+            }
+            slot = static_cast<std::uint8_t>(ChunkStatus::kOk);
+          } else {
+            if (req.faults.corrupt > 0.0) {
+              inject_corrupt_values({res.values.data() + begin, end - begin}, begin,
+                                    req.faults);
+            }
+            if (guard_on &&
+                robust::guard_specs_range(view.specs.subspan(begin, end - begin),
+                                          {res.values.data() + begin, end - begin}, req.guard,
+                                          ctx.v->statistical, res.option_faults, begin) > 0) {
+              record_error(m, "output guard failed");
+              slot = static_cast<std::uint8_t>(ChunkStatus::kFailed);
+            } else {
+              slot = static_cast<std::uint8_t>(ChunkStatus::kOk);
+            }
+          }
+        }
+      } catch (const std::exception& e) {
+        record_error(m, e.what());
+        slot = static_cast<std::uint8_t>(ChunkStatus::kFailed);
+      } catch (...) {
+        record_error(m, "non-std exception from kernel");
+        slot = static_cast<std::uint8_t>(ChunkStatus::kFailed);
+      }
+      const double end_us = obs::trace::now_us();
+      s.hist_chunk->record_seconds((end_us - start_us) * 1e-6);
+      obs::FlightRecord fr;
+      fr.request_id = ctx.request_id;
+      fr.chunk = sg.slot;
+      fr.worker = ThreadPool::current_participant();
+      fr.begin = begin;
+      fr.end = end;
+      fr.start_us = start_us;
+      fr.end_us = end_us;
+      fr.set_kernel(ctx.v->id.c_str());
+      fr.set_status(slot == static_cast<std::uint8_t>(ChunkStatus::kOk) ? "ok"
+                    : slot == kChunkRescan                               ? "rescan"
+                                                                         : "failed");
+      s.flight->record(fr);
+    }
   };
   pool_->run(static_cast<std::ptrdiff_t>(nchunks), run_chunk, schedule, site, cancel);
 
   // --- Deferred sanitization (faulty inputs only) --------------------------
-  // Chunks whose input check failed priced nothing. The full sanitizer
-  // then runs over the view exactly as an up-front scan would — same mask,
-  // counters and in-place repairs — and only those chunks run again.
-  if (scan_in_chunks) {
-    std::vector<std::size_t>& rerun = s.rerun_chunks;
-    rerun.clear();
-    for (std::size_t c = 0; c < nchunks; ++c) {
-      if (res.chunk_status[c] != kChunkRescan) continue;
-      res.chunk_status[c] = static_cast<std::uint8_t>(ChunkStatus::kNotRun);
-      rerun.push_back(c);
-    }
-    if (rerun.empty()) {
-      static obs::Counter& scanned = obs::counter("robust.sanitize.scanned");
-      scanned.add(n);
-      san.scanned = n;
-    } else {
-      robust::sanitize(working, req.sanitize, san);
-      res.option_faults = san.mask;
-      res.options_clamped = san.clamped;
-      res.options_skipped = san.skipped;
-      if (negotiated) core::copy_inputs(working, s.negotiated);
-      ctx.scan = false;
-      ctx.remap = rerun.data();
-      pool_->run(static_cast<std::ptrdiff_t>(rerun.size()), run_chunk, schedule, site, cancel);
+  // Segments whose input check failed priced nothing. The full sanitizer
+  // then runs over that member's view exactly as an up-front scan would —
+  // same mask, counters and in-place repairs — and only the chunks holding
+  // such segments run again (their other segments are already priced).
+  gs.rerun.clear();
+  for (std::size_t c = 0; c < nchunks; ++c) {
+    for (std::size_t i = gs.chunks[c]; i < gs.chunks[c + 1]; ++i) {
+      const GroupScratch::Segment& sg = gs.segments[i];
+      std::uint8_t& slot = group[sg.member].res->chunk_status[sg.slot];
+      if (slot != kChunkRescan) continue;
+      slot = static_cast<std::uint8_t>(ChunkStatus::kNotRun);
+      run_of(group[sg.member]).rescan = true;
+      if (gs.rerun.empty() || gs.rerun.back() != c) gs.rerun.push_back(c);
     }
   }
-  res.options_repaired += bs_repaired.load();
+  for (const GroupJob& j : group) {
+    const PricingRequest& req = *j.req;
+    PricingResult& res = *j.res;
+    Scratch& s = *req.scratch;
+    Scratch::Run& m = s.run;
+    if (!m.live || !m.scan) continue;
+    m.scan = false;
+    robust::SanitizeReport& san = s.sanitize_report;
+    if (!m.rescan) {
+      static obs::Counter& scanned = obs::counter("robust.sanitize.scanned");
+      scanned.add(m.n);
+      san.scanned = m.n;
+      continue;
+    }
+    robust::sanitize(m.working, req.sanitize, san);
+    res.option_faults = san.mask;
+    res.options_clamped = san.clamped;
+    res.options_skipped = san.skipped;
+    if (m.negotiated) core::copy_inputs(m.working, s.negotiated);
+  }
+  if (!gs.rerun.empty()) {
+    ctx.remap = gs.rerun.data();
+    pool_->run(static_cast<std::ptrdiff_t>(gs.rerun.size()), run_chunk, schedule, site, cancel);
+  }
 
   // --- Quarantine & fallback pass (serial, exceptional) --------------------
-  // Failed kSpecs chunks re-price through the fallback chain's batch entry
-  // point on a sub-workload view, and the repaired values are guarded
-  // again before they are accepted; failed Black–Scholes chunks re-price
-  // with the closed form. Runs on the caller thread; a degraded repetition may
-  // allocate — only clean steady-state repetitions are guaranteed
-  // allocation-free.
-  std::size_t priced_items = 0;
-  const bool expired = cancel != nullptr && cancel->expired();
-  // Post-pass flight records for chunks the workers never touched (and for
-  // repaired ones below): worker -1, zero ticks — "never ran" looks
-  // different from "ran and failed" in the dump.
-  auto record_flight = [&](std::size_t c, std::size_t begin, std::size_t end,
-                           const char* status) {
-    obs::FlightRecord fr;
-    fr.request_id = res.request_id;
-    fr.chunk = static_cast<std::uint32_t>(c);
-    fr.worker = -1;
-    fr.begin = begin;
-    fr.end = end;
-    fr.set_kernel(v->id.c_str());
-    fr.set_status(status);
-    s.flight->record(fr);
-  };
-  // Unpriced outputs read NaN, never a previous run's prices.
-  auto nan_fill = [&](std::size_t begin, std::size_t end) {
-    if (bs_chunked) {
-      for (std::size_t i = begin; i < end; ++i) {
-        robust::bs_store_outputs(*view, i, kQuietNan, kQuietNan);
+  // Per member and segment: failed kSpecs segments re-price through the
+  // fallback chain's batch entry point on a sub-workload view, and the
+  // repaired values are guarded again before they are accepted; failed
+  // Black–Scholes segments re-price with the closed form. Runs on the
+  // caller thread; a degraded repetition may allocate — only clean
+  // steady-state repetitions are guaranteed allocation-free.
+  for (const GroupJob& j : group) {
+    if (run_of(j).live) j.res->options_repaired += run_of(j).repaired.load();
+  }
+  for (const GroupScratch::Segment& sg : gs.segments) {
+    const GroupJob& j = group[sg.member];
+    const PricingRequest& req = *j.req;
+    PricingResult& res = *j.res;
+    Scratch& s = *req.scratch;
+    Scratch::Run& m = s.run;
+    const core::PortfolioView& view = *m.view;
+    const std::size_t begin = sg.begin, end = sg.end;
+    // Post-pass flight records for segments the workers never touched
+    // (and for repaired ones below): worker -1, zero ticks — "never ran"
+    // looks different from "ran and failed" in the dump.
+    auto record_flight = [&](const char* status) {
+      obs::FlightRecord fr;
+      fr.request_id = request_id;
+      fr.chunk = sg.slot;
+      fr.worker = -1;
+      fr.begin = begin;
+      fr.end = end;
+      fr.set_kernel(v->id.c_str());
+      fr.set_status(status);
+      s.flight->record(fr);
+    };
+    // Unpriced outputs read NaN, never a previous run's prices.
+    auto nan_fill = [&] {
+      if (bs_chunked) {
+        for (std::size_t i = begin; i < end; ++i) {
+          robust::bs_store_outputs(view, i, kQuietNan, kQuietNan);
+        }
+      } else {
+        std::fill(res.values.begin() + static_cast<std::ptrdiff_t>(begin),
+                  res.values.begin() + static_cast<std::ptrdiff_t>(end), kQuietNan);
       }
-    } else {
-      std::fill(res.values.begin() + static_cast<std::ptrdiff_t>(begin),
-                res.values.begin() + static_cast<std::ptrdiff_t>(end), kQuietNan);
-    }
-  };
-  for (std::size_t c = 0; c < nchunks; ++c) {
-    auto status = static_cast<ChunkStatus>(res.chunk_status[c]);
-    const std::size_t begin = bounds[c], end = bounds[c + 1];
+    };
+    auto status = static_cast<ChunkStatus>(res.chunk_status[sg.slot]);
     if (status == ChunkStatus::kNotRun) {
-      res.chunk_status[c] = static_cast<std::uint8_t>(expired ? ChunkStatus::kDeadline
-                                                              : ChunkStatus::kNotRun);
+      const bool late = expired(req);
+      res.chunk_status[sg.slot] =
+          static_cast<std::uint8_t>(late ? ChunkStatus::kDeadline : ChunkStatus::kNotRun);
       ++res.chunks_deadline;
-      nan_fill(begin, end);
+      nan_fill();
       obs::counter("robust.deadline.chunks_skipped").add(1);
-      record_flight(c, begin, end, expired ? "deadline" : "not_run");
+      record_flight(late ? "deadline" : "not_run");
       continue;
     }
     if (status == ChunkStatus::kFailed && req.fallback) {
       bool repaired = false;
       if (bs_chunked) {
-        repair_bs_range(*view, begin, end);
+        repair_bs_range(view, begin, end);
         res.options_repaired += end - begin;
         repaired = true;
       }
       for (const VariantInfo* fb = fallback_of(*v); fb != nullptr && !repaired;
            fb = fallback_of(*fb)) {
         if (fb->layout != Layout::kSpecs || fb->run_batch == nullptr) break;
-        if (fb->european_only && range_has_american(view->specs, begin, end)) continue;
+        if (fb->european_only && range_has_american(view.specs, begin, end)) continue;
         PricingRequest sub = req;
         sub.kernel_id = fb->id;
         sub.faults = {};  // never inject into the repair path
-        sub.portfolio = core::view_of(view->specs.subspan(begin, end - begin));
+        sub.portfolio = core::view_of(view.specs.subspan(begin, end - begin));
         sub.scratch.reset();
         PricingResult subres;
         try {
@@ -900,7 +1023,7 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
           continue;  // next link
         }
         if (subres.values.size() != end - begin) continue;
-        if (robust::guard_specs_range(view->specs.subspan(begin, end - begin), subres.values,
+        if (robust::guard_specs_range(view.specs.subspan(begin, end - begin), subres.values,
                                       req.guard, fb->statistical, res.option_faults,
                                       begin) > 0) {
           continue;
@@ -915,24 +1038,28 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
       }
       if (repaired) {
         status = ChunkStatus::kDegraded;
-        res.chunk_status[c] = static_cast<std::uint8_t>(status);
+        res.chunk_status[sg.slot] = static_cast<std::uint8_t>(status);
         ++res.chunks_degraded;
         obs::counter("robust.fallback.chunks").add(1);
-        record_flight(c, begin, end, "degraded");
+        record_flight("degraded");
       } else {
         obs::counter("robust.fallback.exhausted").add(1);
       }
     }
     if (status == ChunkStatus::kOk || status == ChunkStatus::kDegraded) {
-      priced_items += end - begin;
+      m.priced += end - begin;
     } else {
       ++res.chunks_failed;
-      nan_fill(begin, end);
+      nan_fill();
     }
   }
 
-  if (negotiated) core::copy_outputs(*view, req.portfolio);
-  aggregate(errors, priced_items);
+  score_breaker();
+  for (const GroupJob& j : group) {
+    if (!run_of(j).live) continue;
+    if (run_of(j).negotiated) core::copy_outputs(*run_of(j).view, j.req->portfolio);
+    conclude(j);
+  }
 }
 
 }  // namespace finbench::engine

@@ -1,175 +1,20 @@
-// Engine::price_group / Engine::fusable — the multi-request fused entry
-// point (finbench/engine/group.hpp). Fuses N compatible requests into one
-// arena-backed portfolio, prices it through the ordinary Engine::price
-// path (so negotiation, chunking, sanitization, deadlines, and fallback
-// all apply once per group), then scatters outputs and per-member
-// statuses back. Black–Scholes output guarding is deferred to the scatter
-// pass so a guardrail trip is repaired and reported on the member that
-// caused it, not smeared across the group.
+// Engine::price_group / Engine::fusable — the multi-request entry point
+// (finbench/engine/group.hpp). A fusable group is one engine execution:
+// a list of segments over the members' own views, run through the same
+// chunk pipeline as Engine::price (which is a group of one), with each
+// member sanitized, negotiated, guarded, repaired and reported on its own.
+// Nothing is copied in or scattered back.
 
-#include <algorithm>
-#include <cmath>
-#include <cstddef>
-#include <cstdint>
-#include <string>
-
-#include "finbench/core/portfolio.hpp"
 #include "finbench/engine/engine.hpp"
-#include "finbench/robust/guards.hpp"
-#include "finbench/robust/sanitize.hpp"
 #include "finbench/tune/key.hpp"
 #include "variants.hpp"
 
 namespace finbench::engine {
 
-namespace {
-
-using core::Layout;
-
-bool fusable_layout(Layout l) {
-  return l == Layout::kSpecs || l == Layout::kBsAos || l == Layout::kBsSoa ||
-         l == Layout::kBsSoaF;
-}
-
-// The member's [off, off+m) range of the fused batch as a view of its own.
-core::PortfolioView subview(const core::PortfolioView& v, std::size_t off, std::size_t m) {
-  core::PortfolioView s = v;
-  switch (v.layout) {
-    case Layout::kSpecs:
-      s.specs = v.specs.subspan(off, m);
-      break;
-    case Layout::kBsAos:
-      s.aos.options = v.aos.options.subspan(off, m);
-      break;
-    case Layout::kBsSoa:
-      s.soa.spot = v.soa.spot.subspan(off, m);
-      s.soa.strike = v.soa.strike.subspan(off, m);
-      s.soa.years = v.soa.years.subspan(off, m);
-      s.soa.call = v.soa.call.subspan(off, m);
-      s.soa.put = v.soa.put.subspan(off, m);
-      break;
-    case Layout::kBsSoaF:
-      s.sp.spot = v.sp.spot.subspan(off, m);
-      s.sp.strike = v.sp.strike.subspan(off, m);
-      s.sp.years = v.sp.years.subspan(off, m);
-      s.sp.call = v.sp.call.subspan(off, m);
-      s.sp.put = v.sp.put.subspan(off, m);
-      break;
-    default:
-      break;
-  }
-  return s;
-}
-
-// Concatenate the members' inputs into one arena-backed batch in the
-// members' (shared) layout. Outputs are left uninitialized — the kernel
-// writes every call/put, and nothing is scattered back on paths that
-// never ran.
-core::PortfolioView build_fused(std::span<const GroupJob> group, core::Arena& arena,
-                                std::vector<std::size_t>& offsets, std::size_t total) {
-  const core::PortfolioView& p0 = group[0].req->portfolio;
-  core::PortfolioView out;
-  out.layout = p0.layout;
-  switch (p0.layout) {
-    case Layout::kSpecs: {
-      std::span<core::OptionSpec> all = arena.make_span<core::OptionSpec>(total);
-      std::size_t off = 0;
-      for (const GroupJob& j : group) {
-        const std::span<const core::OptionSpec> s = j.req->portfolio.specs;
-        std::copy(s.begin(), s.end(), all.begin() + static_cast<std::ptrdiff_t>(off));
-        offsets.push_back(off);
-        off += s.size();
-      }
-      out.specs = {all.data(), all.size()};
-      break;
-    }
-    case Layout::kBsAos: {
-      std::span<core::BsOptionAos> all = arena.make_span<core::BsOptionAos>(total);
-      std::size_t off = 0;
-      for (const GroupJob& j : group) {
-        const std::span<core::BsOptionAos> s = j.req->portfolio.aos.options;
-        std::copy(s.begin(), s.end(), all.begin() + static_cast<std::ptrdiff_t>(off));
-        offsets.push_back(off);
-        off += s.size();
-      }
-      out.aos = {{all.data(), all.size()}, p0.aos.rate, p0.aos.vol, p0.aos.dividend};
-      break;
-    }
-    case Layout::kBsSoa: {
-      std::span<double> spot = arena.make_span<double>(total);
-      std::span<double> strike = arena.make_span<double>(total);
-      std::span<double> years = arena.make_span<double>(total);
-      std::span<double> call = arena.make_span<double>(total);
-      std::span<double> put = arena.make_span<double>(total);
-      std::size_t off = 0;
-      for (const GroupJob& j : group) {
-        const core::BsSoaView& s = j.req->portfolio.soa;
-        const std::size_t m = s.size();
-        std::copy_n(s.spot.data(), m, spot.data() + off);
-        std::copy_n(s.strike.data(), m, strike.data() + off);
-        std::copy_n(s.years.data(), m, years.data() + off);
-        offsets.push_back(off);
-        off += m;
-      }
-      out.soa = {spot, strike, years, call, put, p0.soa.rate, p0.soa.vol, p0.soa.dividend};
-      break;
-    }
-    case Layout::kBsSoaF: {
-      std::span<float> spot = arena.make_span<float>(total);
-      std::span<float> strike = arena.make_span<float>(total);
-      std::span<float> years = arena.make_span<float>(total);
-      std::span<float> call = arena.make_span<float>(total);
-      std::span<float> put = arena.make_span<float>(total);
-      std::size_t off = 0;
-      for (const GroupJob& j : group) {
-        const core::BsSoaFView& s = j.req->portfolio.sp;
-        const std::size_t m = s.size();
-        std::copy_n(s.spot.data(), m, spot.data() + off);
-        std::copy_n(s.strike.data(), m, strike.data() + off);
-        std::copy_n(s.years.data(), m, years.data() + off);
-        offsets.push_back(off);
-        off += m;
-      }
-      out.sp = {spot, strike, years, call, put, p0.sp.rate, p0.sp.vol};
-      break;
-    }
-    default:
-      break;
-  }
-  return out;
-}
-
-// Clear a member result the way Engine::price does, keeping capacity.
-void reset_result(PricingResult& r) {
-  r.ok = false;
-  r.error.clear();
-  r.status.reset();
-  r.resolved_id.clear();
-  r.tuned = false;
-  r.items = 0;
-  r.seconds = 0.0;
-  r.convert_seconds = 0.0;
-  r.convert_bytes = 0;
-  r.values.clear();
-  r.std_errors.clear();
-  r.option_faults.clear();
-  r.chunk_status.clear();
-  r.options_clamped = r.options_skipped = r.options_repaired = 0;
-  r.chunks_degraded = r.chunks_failed = r.chunks_deadline = 0;
-  r.brownout_level = 0;
-  r.npath_applied = 0;
-  r.steps_applied = 0;
-  r.attempts = 1;
-}
-
-}  // namespace
-
 bool Engine::fusable(const PricingRequest& a, const PricingRequest& b) {
-  if (a.kernel_id != b.kernel_id) return false;
-  const Layout la = a.portfolio.layout;
-  if (la != b.portfolio.layout || !fusable_layout(la)) return false;
-  // Fault injection is per-request by contract; a fused batch cannot
-  // honor two plans, so any active plan opts the request out.
+  if (a.kernel_id != b.kernel_id || a.portfolio.layout != b.portfolio.layout) return false;
+  // Fault injection is per-request by contract and indexes the request's
+  // own chunks, so any active plan opts the request out.
   if (a.faults.any() || b.faults.any()) return false;
   if (a.steps != b.steps || a.steps_per_year != b.steps_per_year || a.npath != b.npath ||
       a.bridge_depth != b.bridge_depth || a.cn_num_prices != b.cn_num_prices ||
@@ -180,31 +25,14 @@ bool Engine::fusable(const PricingRequest& a, const PricingRequest& b) {
       a.guard.mode != b.guard.mode || a.guard.bound_slack != b.guard.bound_slack) {
     return false;
   }
-  // One fused batch carries one set of shared scalars.
-  switch (la) {
-    case Layout::kBsAos:
-      if (a.portfolio.aos.rate != b.portfolio.aos.rate ||
-          a.portfolio.aos.vol != b.portfolio.aos.vol ||
-          a.portfolio.aos.dividend != b.portfolio.aos.dividend) {
-        return false;
-      }
-      break;
-    case Layout::kBsSoa:
-      if (a.portfolio.soa.rate != b.portfolio.soa.rate ||
-          a.portfolio.soa.vol != b.portfolio.soa.vol ||
-          a.portfolio.soa.dividend != b.portfolio.soa.dividend) {
-        return false;
-      }
-      break;
-    case Layout::kBsSoaF:
-      if (a.portfolio.sp.rate != b.portfolio.sp.rate ||
-          a.portfolio.sp.vol != b.portfolio.sp.vol) {
-        return false;
-      }
-      break;
-    default:
-      break;
-  }
+  // Members are priced in place, range by range, so the variant needs a
+  // range adapter. Statistical estimators key their per-option RNG
+  // substreams by batch index — fusing would change a member's answer
+  // depending on who it shares a batch with. Deterministic kernels are
+  // element-wise across options, so fusion is bitwise-neutral.
+  auto in_place = [](const VariantInfo* v) {
+    return v != nullptr && v->run_range != nullptr && !v->statistical;
+  };
   // Auto-intent pairs fuse on their *resolved* plans, not the intent
   // string: both must land on the same concrete variant with the same
   // effective schedule and chunk granularity (each member resolves through
@@ -212,204 +40,23 @@ bool Engine::fusable(const PricingRequest& a, const PricingRequest& b) {
   if (tune::is_auto_id(a.kernel_id)) {
     const ResolvedDispatch ra = resolve_dispatch(Engine::shared(), a);
     const ResolvedDispatch rb = resolve_dispatch(Engine::shared(), b);
-    return ra.v != nullptr && ra.v == rb.v && !ra.v->statistical &&
-           ra.schedule == rb.schedule && ra.chunks_per_thread == rb.chunks_per_thread;
+    return in_place(ra.v) && ra.v == rb.v && ra.schedule == rb.schedule &&
+           ra.chunks_per_thread == rb.chunks_per_thread;
   }
-  // Statistical estimators key their per-option RNG substreams by batch
-  // index — fusing would change a member's answer depending on who it
-  // shares a batch with. Deterministic kernels are element-wise across
-  // options, so fusion is bitwise-neutral.
-  const VariantInfo* v = Registry::instance().find(a.kernel_id);
-  return v != nullptr && !v->statistical;
+  return in_place(Registry::instance().find(a.kernel_id));
 }
 
 void Engine::price_group(std::span<const GroupJob> group, GroupScratch& gs) const {
   if (group.empty()) return;
-  if (group.size() == 1) {
-    price(*group[0].req, *group[0].res);
-    return;
-  }
-  const PricingRequest& proto = *group[0].req;
-  bool all_fusable = true;
-  std::size_t total = 0;
-  for (const GroupJob& j : group) {
-    if (&j != &group[0] && !fusable(proto, *j.req)) {
-      all_fusable = false;
-      break;
-    }
-    total += j.req->portfolio.size();
-  }
-  if (!all_fusable || total == 0) {
-    // A mis-grouped member would get wrong shared scalars or a changed
-    // answer; price everyone individually instead of silently mis-fusing.
-    for (const GroupJob& j : group) price(*j.req, *j.res);
-    return;
-  }
-
-  // --- Fuse ----------------------------------------------------------------
-  gs.arena.reset();
-  gs.offsets.clear();
-  const core::PortfolioView fused_view = build_fused(group, gs.arena, gs.offsets, total);
-
-  PricingRequest& f = gs.fused;
-  f.kernel_id = proto.kernel_id;
-  f.portfolio = fused_view;
-  f.steps = proto.steps;
-  f.steps_per_year = proto.steps_per_year;
-  f.npath = proto.npath;
-  f.bridge_depth = proto.bridge_depth;
-  f.cn_num_prices = proto.cn_num_prices;
-  f.seed = proto.seed;
-  f.schedule = proto.schedule;
-  f.chunks_per_thread = proto.chunks_per_thread;
-  f.pin_schedule = proto.pin_schedule;
-  f.pin_chunks = proto.pin_chunks;
-  // An auto group fuses on the plan the members resolved to at *their*
-  // size: re-resolving at the fused size could land in a different size
-  // bucket, pick a different variant, and break bitwise parity between a
-  // coalesced member and the same request priced solo. Pin the concrete
-  // id and the plan's scheduling onto the fused request instead.
-  bool group_tuned = false;
-  if (tune::is_auto_id(proto.kernel_id)) {
-    ResolvedDispatch rd = resolve_dispatch(*this, proto);
-    if (rd.v != nullptr) {
-      f.kernel_id = rd.v->id;
-      f.schedule = rd.schedule;
-      f.chunks_per_thread = rd.chunks_per_thread;
-      f.pin_schedule = true;
-      f.pin_chunks = true;
-      group_tuned = true;
+  for (const GroupJob& j : group.subspan(1)) {
+    if (!fusable(*group[0].req, *j.req)) {
+      // A mis-grouped member would get a changed answer; price everyone
+      // individually instead of silently mis-fusing.
+      for (const GroupJob& m : group) price(*m.req, *m.res);
+      return;
     }
   }
-  f.sanitize = proto.sanitize;
-  f.guard = proto.guard;
-  f.fallback = proto.fallback;
-  f.faults = {};
-  // Defer the Black–Scholes output guard to the per-member scatter pass
-  // below, so a guardrail trip is repaired and attributed to the member
-  // whose range tripped it (kSpecs keeps the engine's chunk-level guard —
-  // chunk quarantine/fallback machinery lives there).
-  const bool bs = robust::is_bs_layout(fused_view);
-  if (bs) f.guard.mode = robust::GuardMode::kOff;
-  // Group deadline: explicit override, else the most urgent member.
-  f.cancel = gs.cancel;
-  f.deadline_seconds = gs.deadline_seconds;
-  if (f.deadline_seconds <= 0.0) {
-    for (const GroupJob& j : group) {
-      const double d = j.req->deadline_seconds;
-      if (d > 0.0 && (f.deadline_seconds <= 0.0 || d < f.deadline_seconds)) {
-        f.deadline_seconds = d;
-      }
-    }
-  }
-  // The fused batch reuses the same arena addresses with new contents every
-  // group — the negotiation cache keys on (pointer, n), so it must be
-  // invalidated explicitly or a same-shaped group would be priced against
-  // the previous group's converted data.
-  scratch_of(f).has_negotiated = false;
-
-  price(f, gs.fused_res);
-  const PricingResult& fr = gs.fused_res;
-  const robust::StatusCode fc = fr.status.code();
-
-  // --- Scatter -------------------------------------------------------------
-  const bool terminal = !fr.status.ok();
-  for (std::size_t j = 0; j < group.size(); ++j) {
-    const std::size_t off = gs.offsets[j];
-    const std::size_t m = group[j].req->portfolio.size();
-    PricingResult& r = *group[j].res;
-    reset_result(r);
-    r.kernel_id = group[j].req->kernel_id;  // the member's own (intent) id
-    r.resolved_id = fr.resolved_id;
-    r.tuned = group_tuned;
-    r.request_id = fr.request_id;
-    r.layout = fr.layout;
-    r.seconds = fr.seconds;
-    r.convert_seconds = fr.convert_seconds;
-    r.convert_bytes = fr.convert_bytes;
-    if (!fr.option_faults.empty()) {
-      r.option_faults.assign(fr.option_faults.begin() + static_cast<std::ptrdiff_t>(off),
-                             fr.option_faults.begin() + static_cast<std::ptrdiff_t>(off + m));
-      for (const std::uint8_t bit : r.option_faults) {
-        if (bit & robust::kFaultSkipped) ++r.options_skipped;
-        if (bit & robust::kFaultClamped) ++r.options_clamped;
-      }
-    }
-    // A mid-batch deadline is terminal for the *fused* run but not
-    // necessarily for every member: chunks that completed before the
-    // expiry fully priced the members they covered. Scatter per member —
-    // a member whose whole slice priced gets its values and a clean (or
-    // degraded) status; a member with unpriced items keeps
-    // kDeadlineExceeded with whatever partial values exist. An item
-    // counts as priced when its value is finite or the sanitizer skipped
-    // it by design (NaN output with kFaultSkipped set).
-    bool member_terminal = terminal;
-    std::size_t member_priced = m;
-    if (terminal && fc == robust::StatusCode::kDeadlineExceeded && !bs && !fr.values.empty()) {
-      member_priced = 0;
-      for (std::size_t i = 0; i < m; ++i) {
-        const bool skipped =
-            !fr.option_faults.empty() &&
-            (fr.option_faults[off + i] & robust::kFaultSkipped) != 0;
-        if (std::isfinite(fr.values[off + i]) || skipped) ++member_priced;
-      }
-      member_terminal = member_priced < m;
-    }
-    if (member_terminal) {
-      // Nothing usable (or not everything) ran for this member
-      // (rejection, unknown kernel, unrecoverable kernel error, or the
-      // deadline caught its slice): propagate the fused status.
-      r.status = fr.status;
-      r.ok = false;
-      r.error = fr.error;
-      if (fc == robust::StatusCode::kDeadlineExceeded) {
-        r.chunks_deadline = 1;
-        // Disclose the partial values so a caller that can use a subset
-        // sees what priced (mirrors the solo chunked path's contract).
-        if (!bs && !fr.values.empty()) {
-          r.values.assign(fr.values.begin() + static_cast<std::ptrdiff_t>(off),
-                          fr.values.begin() + static_cast<std::ptrdiff_t>(off + m));
-          if (!fr.std_errors.empty()) {
-            r.std_errors.assign(fr.std_errors.begin() + static_cast<std::ptrdiff_t>(off),
-                                fr.std_errors.begin() + static_cast<std::ptrdiff_t>(off + m));
-          }
-          r.items = member_priced;
-        }
-      }
-      continue;
-    }
-    // Usable fused outputs: re-guard this member's range with its own
-    // policy (repairs land in the fused arrays first), then copy the
-    // member's slice back to where Engine::price would have written it.
-    const core::PortfolioView sub = subview(fused_view, off, m);
-    if (bs) {
-      if (group[j].req->guard.mode != robust::GuardMode::kOff) {
-        std::span<const std::uint8_t> mask;
-        if (!r.option_faults.empty()) mask = {r.option_faults.data(), m};
-        r.options_repaired = robust::guard_and_repair_bs(sub, group[j].req->guard, mask);
-      }
-      core::copy_outputs(sub, group[j].req->portfolio);
-    } else {
-      r.values.assign(fr.values.begin() + static_cast<std::ptrdiff_t>(off),
-                      fr.values.begin() + static_cast<std::ptrdiff_t>(off + m));
-      if (!fr.std_errors.empty()) {
-        r.std_errors.assign(fr.std_errors.begin() + static_cast<std::ptrdiff_t>(off),
-                            fr.std_errors.begin() + static_cast<std::ptrdiff_t>(off + m));
-      }
-    }
-    r.items = m;
-    r.chunks_degraded = fr.chunks_degraded > 0 ? 1 : 0;
-    const bool degraded = r.options_repaired > 0 || r.options_skipped > 0 ||
-                          r.options_clamped > 0 || r.chunks_degraded > 0;
-    if (degraded) {
-      r.status.set(robust::StatusCode::kDegraded,
-                   "degraded in fused batch (see option_faults / options_repaired)");
-      r.ok = true;
-      r.error = r.status.to_string();
-    } else {
-      r.ok = true;
-    }
-  }
+  execute(group, gs);
 }
 
 }  // namespace finbench::engine

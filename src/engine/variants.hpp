@@ -3,14 +3,18 @@
 
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "finbench/arch/aligned.hpp"
 #include "finbench/core/portfolio.hpp"
 #include "finbench/core/scratch_pool.hpp"
+#include "finbench/engine/group.hpp"
 #include "finbench/engine/registry.hpp"
 #include "finbench/engine/request.hpp"
 #include "finbench/kernels/brownian.hpp"
@@ -61,17 +65,30 @@ struct Scratch {
   core::Layout negotiated_to = core::Layout::kSpecs;
   core::ConvertStats convert_stats{};  // one-time cost of the cached conversion
 
-  // --- Chunk-partition cache (engine-owned) --------------------------------
-  // make_bounds output + per-item cost buffer, rebuilt only when the
-  // (n, nparts, schedule) key changes.
-  std::vector<std::size_t> bounds;
-  std::vector<double> item_cost;
-  std::size_t bounds_n = 0;
-  int bounds_nparts = -1;
-  int bounds_sched = -1;
-  // Black–Scholes chunks whose deferred input check failed, re-run after
-  // the sanitizer (touched only by requests with faulty inputs).
-  std::vector<std::size_t> rerun_chunks;
+  // --- One execution's member state (engine-owned) -------------------------
+  // Engine::price prices a request as a group of one, through `solo`'s
+  // segment buffers; price_group uses the caller's GroupScratch instead.
+  // Either way the request's own state for the execution lives in `run`:
+  // set up before the chunks run, read by them, concluded in the post-pass.
+  GroupScratch solo;
+  struct Run {
+    std::uint64_t id = 0;  // request_id of the execution this state is for
+    bool live = false;     // set up and not yet concluded
+    bool negotiated = false;
+    bool scan = false;    // Black–Scholes input check deferred to the chunks
+    bool rescan = false;  // a chunk's input check failed
+    std::size_t n = 0;
+    std::size_t segments = 0;  // planned for this request (chunk_status size)
+    std::size_t priced = 0;
+    // The caller's arrays (the sanitizer may repair shared BS scalars, and
+    // a faulty specs span is re-pointed at sanitized_specs), and the view
+    // the kernel prices: working itself or the negotiated conversion.
+    core::PortfolioView working{};
+    const core::PortfolioView* view = nullptr;
+    std::atomic<std::size_t> repaired{0};  // BS options its chunks repaired
+    std::mutex mu;
+    std::string error;  // first failure message of its chunks
+  } run;
 
   // --- Kernel scratch pools (engine-owned) ---------------------------------
   // Per-worker kernel temporaries — binomial lattices, Monte Carlo normal

@@ -5,10 +5,11 @@
 // bandwidth-bound, and copying millions of outputs would distort exactly
 // what Fig. 4 measures). run_batch is the kernels' whole-batch entry, whose
 // internal "#pragma omp parallel" over the batch IS the Fig. 4 experiment.
-// The SOA intermediate rows (bs.intermediate.{avx2,auto},
-// bs.intermediate_sp.auto) also have run_range: the engine prices them in
-// chunks on its pool, each chunk checking its inputs, pricing, and
-// reporting its in-register output probe. The other rows stay whole-batch.
+// Every row that prices an AOS or SOA view in place also has run_range, the
+// kernel's range body that run_batch splits across OpenMP threads: the
+// engine prices these rows in chunks on its pool, each chunk checking its
+// inputs, pricing, and reporting its output probe. Only the blocked
+// (AoSoA) rows stay whole-batch.
 // A request in the "wrong" BS layout is not an error: the engine
 // negotiates it into the view these adapters receive.
 
@@ -34,6 +35,12 @@ void run_aos(const PricingRequest&, const core::PortfolioView& view, PricingResu
   res.ok = true;
 }
 
+template <bool (*K)(core::BsAosView, std::size_t, std::size_t)>
+bool range_aos(const PricingRequest&, const core::PortfolioView& view, std::size_t begin,
+               std::size_t end, PricingResult&) {
+  return K(view.aos, begin, end);
+}
+
 template <Width W>
 void run_intermediate(const PricingRequest&, const core::PortfolioView& view,
                       PricingResult& res) {
@@ -48,17 +55,27 @@ bool range_intermediate(const PricingRequest&, const core::PortfolioView& view,
   return kernels::bs::price_intermediate(view.soa, begin, end, W);
 }
 
+// The VML temporaries (d1/d2/xexp/qlog) lease from the request's vml pool,
+// one slot per concurrent range; reserve() is an idempotent no-op after the
+// first pricing, so steady-state repetitions never allocate.
+void reserve_vml(const PricingRequest& req, const core::PortfolioView&) {
+  Scratch& s = scratch_of(req);
+  s.vml_pool.reserve(s.kernel_arena, 4 * kernels::bs::kVmlChunk, scratch_slots());
+}
+
 template <Width W>
 void run_advanced_vml(const PricingRequest& req, const core::PortfolioView& view,
                       PricingResult& res) {
-  // The chunk temporaries (d1/d2/xexp/qlog) lease from the request's vml
-  // pool; reserve() is an idempotent no-op after the first pricing, so
-  // steady-state repetitions never allocate.
-  Scratch& s = scratch_of(req);
-  s.vml_pool.reserve(s.kernel_arena, 4 * kernels::bs::kVmlChunk, scratch_slots());
-  kernels::bs::price_advanced_vml(view.soa, W, &s.vml_pool);
+  reserve_vml(req, view);
+  kernels::bs::price_advanced_vml(view.soa, W, &scratch_of(req).vml_pool);
   res.items = view.soa.size();
   res.ok = true;
+}
+
+template <Width W>
+bool range_advanced_vml(const PricingRequest& req, const core::PortfolioView& view,
+                        std::size_t begin, std::size_t end, PricingResult&) {
+  return kernels::bs::price_advanced_vml(view.soa, begin, end, W, &scratch_of(req).vml_pool);
 }
 
 void run_intermediate_sp(const PricingRequest&, const core::PortfolioView& view,
@@ -95,6 +112,12 @@ void run_fused_sp(const PricingRequest&, const core::PortfolioView& view, Pricin
   res.ok = true;
 }
 
+template <WidthF W>
+bool range_fused_sp(const PricingRequest&, const core::PortfolioView& view, std::size_t begin,
+                    std::size_t end, PricingResult&) {
+  return kernels::bs::price_blocked_from_aos_f32(view.aos, begin, end, W);
+}
+
 VariantInfo base(const char* id, OptLevel level, int width, Layout layout, const char* desc) {
   VariantInfo v;
   v.id = id;
@@ -119,6 +142,7 @@ void register_blackscholes(Registry& r) {
                          "scalar AOS loop, cnd via libm erfc (Lis. 1)");
     v.reference_id = "";
     v.run_batch = run_aos<kernels::bs::price_reference>;
+    v.run_range = range_aos<kernels::bs::price_reference>;
     r.add(std::move(v));
   }
   {
@@ -126,6 +150,7 @@ void register_blackscholes(Registry& r) {
                          "AOS loop under pragma omp parallel for simd");
     v.tolerance = 1e-12;
     v.run_batch = run_aos<kernels::bs::price_basic>;
+    v.run_range = range_aos<kernels::bs::price_basic>;
     r.add(std::move(v));
   }
   {
@@ -152,7 +177,9 @@ void register_blackscholes(Registry& r) {
     // plain intermediate SOA kernel; the scalar closed form is the
     // engine's terminal repair for any BS layout (docs/robustness.md).
     v.fallback_id = "bs.intermediate.avx2";
+    v.prepare = reserve_vml;
     v.run_batch = run_advanced_vml<Width::kAvx2>;
+    v.run_range = range_advanced_vml<Width::kAvx2>;
     r.add(std::move(v));
   }
   {
@@ -160,7 +187,9 @@ void register_blackscholes(Registry& r) {
                          "SOA + VML-style whole-array transcendental passes, widest");
     v.tolerance = 1e-8;
     v.fallback_id = "bs.intermediate.auto";
+    v.prepare = reserve_vml;
     v.run_batch = run_advanced_vml<Width::kAuto>;
+    v.run_range = range_advanced_vml<Width::kAuto>;
     r.add(std::move(v));
   }
   {
@@ -221,6 +250,7 @@ void register_blackscholes(Registry& r) {
     v.tolerance = 1e-3;  // SP arithmetic vs the DP reference
     v.bytes_per_item = bytes;  // storage stays f64 AOS: full 40 B/option move
     v.run_batch = run_fused_sp<WidthF::kAvx2>;
+    v.run_range = range_fused_sp<WidthF::kAvx2>;
     r.add(std::move(v));
   }
   {
@@ -231,6 +261,7 @@ void register_blackscholes(Registry& r) {
     v.bytes_per_item = bytes;
     v.fallback_id = "blackscholes.blocked_fused.8f";
     v.run_batch = run_fused_sp<WidthF::kAuto>;
+    v.run_range = range_fused_sp<WidthF::kAuto>;
     r.add(std::move(v));
   }
 }

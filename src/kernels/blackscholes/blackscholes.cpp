@@ -1,8 +1,8 @@
 #include "finbench/kernels/blackscholes.hpp"
 
 #include <immintrin.h>
-#include <omp.h>
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
@@ -15,6 +15,7 @@
 #include "finbench/obs/trace.hpp"
 #include "finbench/vecmath/vecmath.hpp"
 #include "finbench/vecmath/vecmathf.hpp"
+#include "omp_split.hpp"
 
 namespace finbench::kernels::bs {
 
@@ -22,24 +23,27 @@ namespace {
 
 inline double cnd_scalar(double x) { return 0.5 * std::erfc(-x * 0.70710678118654752440); }
 
-}  // namespace
-
-// --- Reference: Lis. 1, scalar, AOS --------------------------------------
-
-void price_reference(core::BsAosView batch) {
-  static obs::Counter& priced = obs::counter("bs.options_priced");
-  priced.add(batch.size());
-  if (batch.dividend != 0.0) {
+void require_no_dividend(double dividend) {
+  if (dividend != 0.0) {
     throw std::invalid_argument(
         "this variant reproduces the paper's dividend-free kernel; "
         "use price_intermediate for dividend yields");
   }
+}
+
+// Lis. 1 over options [begin, end) of an AOS batch. Simd adds the pragma
+// that is the whole "Basic" optimization: the compiler vectorizes, but the
+// strided AOS accesses become gathers/scatters (the paper's Fig. 4 "Basic"
+// bar, and the 10x instruction blow-up on 8-wide SIMD). Returns whether
+// every output is finite (a NaN or infinity turns c*0 + p*0 into NaN).
+template <bool Simd>
+bool aos_range(const core::BsAosView& batch, std::ptrdiff_t begin, std::ptrdiff_t end) {
   const double r = batch.rate;
   const double sig = batch.vol;
   const double sig22 = sig * sig / 2;
   core::BsOptionAos* opts = batch.options.data();
-  const std::size_t nopt = batch.size();
-  for (std::size_t i = 0; i < nopt; ++i) {
+  double probe = 0.0;
+  auto price = [&](std::ptrdiff_t i) {
     const double qlog = std::log(opts[i].spot / opts[i].strike);
     const double denom = 1.0 / (sig * std::sqrt(opts[i].years));
     const double d1 = (qlog + (r + sig22) * opts[i].years) * denom;
@@ -47,7 +51,29 @@ void price_reference(core::BsAosView batch) {
     const double xexp = opts[i].strike * std::exp(-r * opts[i].years);
     opts[i].call = opts[i].spot * cnd_scalar(d1) - xexp * cnd_scalar(d2);
     opts[i].put = xexp * cnd_scalar(-d2) - opts[i].spot * cnd_scalar(-d1);
+    return opts[i].call * 0.0 + opts[i].put * 0.0;
+  };
+  if constexpr (Simd) {
+#pragma omp simd reduction(+ : probe)
+    for (std::ptrdiff_t i = begin; i < end; ++i) probe += price(i);
+  } else {
+    for (std::ptrdiff_t i = begin; i < end; ++i) probe += price(i);
   }
+  return std::isfinite(probe);
+}
+
+}  // namespace
+
+// --- Reference: Lis. 1, scalar, AOS --------------------------------------
+
+void price_reference(core::BsAosView batch) { price_reference(batch, 0, batch.size()); }
+
+bool price_reference(core::BsAosView batch, std::size_t begin, std::size_t end) {
+  static obs::Counter& priced = obs::counter("bs.options_priced");
+  priced.add(end - begin);
+  require_no_dividend(batch.dividend);
+  return aos_range<false>(batch, static_cast<std::ptrdiff_t>(begin),
+                          static_cast<std::ptrdiff_t>(end));
 }
 
 // --- Basic: compiler pragmas on the AOS loop ------------------------------
@@ -55,56 +81,22 @@ void price_reference(core::BsAosView batch) {
 void price_basic(core::BsAosView batch) {
   static obs::Counter& priced = obs::counter("bs.options_priced");
   priced.add(batch.size());
-  if (batch.dividend != 0.0) {
-    throw std::invalid_argument(
-        "this variant reproduces the paper's dividend-free kernel; "
-        "use price_intermediate for dividend yields");
-  }
-  const double r = batch.rate;
-  const double sig = batch.vol;
-  const double sig22 = sig * sig / 2;
-  core::BsOptionAos* opts = batch.options.data();
-  const std::ptrdiff_t nopt = static_cast<std::ptrdiff_t>(batch.size());
-  // The pragma is the whole optimization: the compiler vectorizes, but the
-  // strided AOS accesses become gathers/scatters (the paper's Fig. 4
-  // "Basic" bar, and the 10x instruction blow-up on 8-wide SIMD).
-#pragma omp parallel for simd schedule(static)
-  for (std::ptrdiff_t i = 0; i < nopt; ++i) {
-    const double qlog = std::log(opts[i].spot / opts[i].strike);
-    const double denom = 1.0 / (sig * std::sqrt(opts[i].years));
-    const double d1 = (qlog + (r + sig22) * opts[i].years) * denom;
-    const double d2 = (qlog + (r - sig22) * opts[i].years) * denom;
-    const double xexp = opts[i].strike * std::exp(-r * opts[i].years);
-    opts[i].call = opts[i].spot * cnd_scalar(d1) - xexp * cnd_scalar(d2);
-    opts[i].put = xexp * cnd_scalar(-d2) - opts[i].spot * cnd_scalar(-d1);
-  }
+  require_no_dividend(batch.dividend);
+  omp_split(static_cast<std::ptrdiff_t>(batch.size()),
+            [&](std::ptrdiff_t b, std::ptrdiff_t e) { aos_range<true>(batch, b, e); });
+}
+
+bool price_basic(core::BsAosView batch, std::size_t begin, std::size_t end) {
+  static obs::Counter& priced = obs::counter("bs.options_priced");
+  priced.add(end - begin);
+  require_no_dividend(batch.dividend);
+  return aos_range<true>(batch, static_cast<std::ptrdiff_t>(begin),
+                         static_cast<std::ptrdiff_t>(end));
 }
 
 // --- Intermediate: SOA + explicit SIMD across options ----------------------
 
 namespace {
-
-// Interior range boundaries of the exhibit entries' OpenMP split: a
-// multiple of every lane count (8 DP, 16 SP), so aligned loads hold and
-// no interior range has a scalar tail.
-constexpr std::ptrdiff_t kRangeAlign = 16;
-
-// Splits [0, n) into one contiguous range per OpenMP thread, with interior
-// boundaries on multiples of `align`, and runs body(begin, end) on each —
-// the exhibit entries' parallel loop over their range bodies. Only the last
-// range can end off the alignment, so the scalar tail stays where the
-// whole-batch loop put it.
-template <class Body>
-void omp_split(std::ptrdiff_t n, std::ptrdiff_t align, Body body) {
-  const std::ptrdiff_t groups = n / align;
-#pragma omp parallel
-  {
-    const std::ptrdiff_t t = omp_get_thread_num(), nt = omp_get_num_threads();
-    const std::ptrdiff_t begin = groups * t / nt * align;
-    const std::ptrdiff_t end = t + 1 == nt ? n : groups * (t + 1) / nt * align;
-    if (begin < end) body(begin, end);
-  }
-}
 
 // One option per SIMD lane over options [begin, end); cnd via erf (cheaper,
 // same accuracy — the paper's SVML substitution) and the put derived from
@@ -194,7 +186,7 @@ bool price_soa(const core::BsSoaView& batch, std::ptrdiff_t begin, std::ptrdiff_
 void price_intermediate(core::BsSoaView batch, Width w) {
   static obs::Counter& priced = obs::counter("bs.options_priced");
   priced.add(batch.size());
-  omp_split(static_cast<std::ptrdiff_t>(batch.size()), kRangeAlign,
+  omp_split(static_cast<std::ptrdiff_t>(batch.size()),
             [&](std::ptrdiff_t b, std::ptrdiff_t e) { price_soa(batch, b, e, w); });
 }
 
@@ -207,63 +199,78 @@ bool price_intermediate(core::BsSoaView batch, std::size_t begin, std::size_t en
 
 // --- Advanced: VML-style whole-array passes --------------------------------
 
-void price_advanced_vml(core::BsSoaView batch, Width w, core::ScratchPool* scratch) {
-  if (batch.dividend != 0.0) {
-    throw std::invalid_argument(
-        "this variant reproduces the paper's dividend-free kernel; "
-        "use price_intermediate for dividend yields");
-  }
-  const std::size_t n = batch.size();
+namespace {
+
+// Options [begin, end) in kVmlChunk pieces, so the temporaries stay in L2;
+// each piece makes VML-style whole-array calls (log, exp, cnd) through the
+// 4 x kVmlChunk scratch buffer `buf`. Returns whether every output is
+// finite. Pieces start at `begin`, so with 16-aligned range boundaries each
+// option meets the same SIMD lane as in any other split.
+bool vml_range(const core::BsSoaView& batch, std::size_t begin, std::size_t end, Width w,
+               double* buf) {
+  constexpr std::size_t kChunk = kVmlChunk;
   const double r = batch.rate;
   const double sig = batch.vol;
   const double sig22 = sig * sig / 2;
+  double* const d1 = buf;
+  double* const d2 = buf + kChunk;
+  double* const xexp = buf + 2 * kChunk;
+  double* const qlog = buf + 3 * kChunk;
+  double probe = 0.0;
+  for (std::size_t start = begin; start < end; start += kChunk) {
+    const std::size_t c = std::min(kChunk, end - start);
+    const double* s = batch.spot.data() + start;
+    const double* k = batch.strike.data() + start;
+    const double* t = batch.years.data() + start;
+    double* call = batch.call.data() + start;
+    double* put = batch.put.data() + start;
 
-  // Chunked so the temporaries stay in L2; each chunk makes VML-style
-  // whole-array calls (log, exp, cnd) through aligned scratch buffers.
-  // The buffers lease from the caller's pool when it has room (steady
-  // state: zero allocations); otherwise each worker allocates locally.
-  constexpr std::size_t kChunk = kVmlChunk;
-
-#pragma omp parallel
-  {
-    core::ScratchPool::Lease lease =
-        scratch != nullptr ? scratch->claim(4 * kChunk) : core::ScratchPool::Lease{};
-    arch::AlignedVector<double> local;
-    if (!lease) local.resize(4 * kChunk);
-    double* const buf = lease ? lease.data() : local.data();
-    double* const d1 = buf;
-    double* const d2 = buf + kChunk;
-    double* const xexp = buf + 2 * kChunk;
-    double* const qlog = buf + 3 * kChunk;
-#pragma omp for schedule(static)
-    for (std::ptrdiff_t start = 0; start < static_cast<std::ptrdiff_t>(n);
-         start += static_cast<std::ptrdiff_t>(kChunk)) {
-      const std::size_t c =
-          std::min(kChunk, n - static_cast<std::size_t>(start));
-      const double* s = batch.spot.data() + start;
-      const double* k = batch.strike.data() + start;
-      const double* t = batch.years.data() + start;
-      double* call = batch.call.data() + start;
-      double* put = batch.put.data() + start;
-
-      for (std::size_t i = 0; i < c; ++i) qlog[i] = s[i] / k[i];
-      vecmath::log({qlog, c}, {qlog, c}, w);
-      for (std::size_t i = 0; i < c; ++i) {
-        const double denom = 1.0 / (sig * std::sqrt(t[i]));
-        d1[i] = (qlog[i] + (r + sig22) * t[i]) * denom;
-        d2[i] = (qlog[i] + (r - sig22) * t[i]) * denom;
-        xexp[i] = -r * t[i];
-      }
-      vecmath::exp({xexp, c}, {xexp, c}, w);
-      vecmath::cnd({d1, c}, {d1, c}, w);
-      vecmath::cnd({d2, c}, {d2, c}, w);
-      for (std::size_t i = 0; i < c; ++i) {
-        const double disc_k = k[i] * xexp[i];
-        call[i] = s[i] * d1[i] - disc_k * d2[i];
-        put[i] = call[i] - s[i] + disc_k;
-      }
+    for (std::size_t i = 0; i < c; ++i) qlog[i] = s[i] / k[i];
+    vecmath::log({qlog, c}, {qlog, c}, w);
+    for (std::size_t i = 0; i < c; ++i) {
+      const double denom = 1.0 / (sig * std::sqrt(t[i]));
+      d1[i] = (qlog[i] + (r + sig22) * t[i]) * denom;
+      d2[i] = (qlog[i] + (r - sig22) * t[i]) * denom;
+      xexp[i] = -r * t[i];
+    }
+    vecmath::exp({xexp, c}, {xexp, c}, w);
+    vecmath::cnd({d1, c}, {d1, c}, w);
+    vecmath::cnd({d2, c}, {d2, c}, w);
+#pragma omp simd reduction(+ : probe)
+    for (std::size_t i = 0; i < c; ++i) {
+      const double disc_k = k[i] * xexp[i];
+      call[i] = s[i] * d1[i] - disc_k * d2[i];
+      put[i] = call[i] - s[i] + disc_k;
+      probe += call[i] * 0.0 + put[i] * 0.0;
     }
   }
+  return std::isfinite(probe);
+}
+
+// vml_range on a buffer leased from `scratch` when it has room; otherwise
+// the calling thread allocates its own.
+bool vml_leased(const core::BsSoaView& batch, std::size_t begin, std::size_t end, Width w,
+                core::ScratchPool* scratch) {
+  core::ScratchPool::Lease lease =
+      scratch != nullptr ? scratch->claim(4 * kVmlChunk) : core::ScratchPool::Lease{};
+  if (lease) return vml_range(batch, begin, end, w, lease.data());
+  arch::AlignedVector<double> local(4 * kVmlChunk);
+  return vml_range(batch, begin, end, w, local.data());
+}
+
+}  // namespace
+
+void price_advanced_vml(core::BsSoaView batch, Width w, core::ScratchPool* scratch) {
+  require_no_dividend(batch.dividend);
+  omp_split(static_cast<std::ptrdiff_t>(batch.size()), [&](std::ptrdiff_t b, std::ptrdiff_t e) {
+    vml_leased(batch, static_cast<std::size_t>(b), static_cast<std::size_t>(e), w, scratch);
+  });
+}
+
+bool price_advanced_vml(core::BsSoaView batch, std::size_t begin, std::size_t end, Width w,
+                        core::ScratchPool* scratch) {
+  require_no_dividend(batch.dividend);
+  return vml_leased(batch, begin, end, w, scratch);
 }
 
 // --- Batch greeks --------------------------------------------------------------
@@ -519,7 +526,7 @@ bool price_sp(const core::BsSoaFView& batch, std::ptrdiff_t begin, std::ptrdiff_
 }  // namespace
 
 void price_intermediate_sp(core::BsSoaFView batch, WidthF w) {
-  omp_split(static_cast<std::ptrdiff_t>(batch.size()), kRangeAlign,
+  omp_split(static_cast<std::ptrdiff_t>(batch.size()),
             [&](std::ptrdiff_t b, std::ptrdiff_t e) { price_sp(batch, b, e, w); });
 }
 

@@ -29,6 +29,7 @@
 #include "finbench/obs/metrics.hpp"
 #include "finbench/vecmath/vecmath.hpp"
 #include "finbench/vecmath/vecmathf.hpp"
+#include "omp_split.hpp"
 
 namespace finbench::kernels::bs {
 
@@ -442,27 +443,39 @@ struct SpAosIo<16> {
 };
 #endif
 
-void price_from_aos_sp_scalar(core::BsOptionAos* o, std::size_t begin, std::size_t end,
-                              float rate, float vol, float div) {
+// Returns the probe c*0 + p*0 summed over the range: NaN unless every
+// output is finite.
+float price_from_aos_sp_scalar(core::BsOptionAos* o, std::size_t begin, std::size_t end,
+                               float rate, float vol, float div) {
   using V1 = simd::Vec<float, 1>;
+  float probe = 0.0f;
   for (std::size_t i = begin; i < end; ++i) {
     const SpOut<V1> r = sp_tile(V1(static_cast<float>(o[i].spot)),
                                 V1(static_cast<float>(o[i].strike)),
                                 V1(static_cast<float>(o[i].years)), rate, vol, div);
     o[i].call = static_cast<double>(r.call.v);
     o[i].put = static_cast<double>(r.put.v);
+    probe += r.call.v * 0.0f + r.put.v * 0.0f;
   }
+  return probe;
 }
 
+// Options [begin, end): W-option tiles from `begin`, then the sub-W tail.
+// With 16-aligned range boundaries each option meets the same tile lane as
+// in any other split. Returns whether every output is finite, from a probe
+// accumulated in registers.
 template <int W>
-void price_from_aos_sp_width(const core::BsAosView& batch) {
+bool price_from_aos_sp_range(const core::BsAosView& batch, std::size_t begin,
+                             std::size_t end) {
   using VF = simd::Vec<float, W>;
   const float rate = static_cast<float>(batch.rate);
   const float vol = static_cast<float>(batch.vol);
   const float div = static_cast<float>(batch.dividend);
-  core::BsOptionAos* const o = batch.options.data();
-  const std::size_t n = batch.size();
-  const std::ptrdiff_t nfull = static_cast<std::ptrdiff_t>(n / W);
+  core::BsOptionAos* const o = batch.options.data() + begin;
+  const std::size_t n = end - begin;
+  const std::size_t nfull = n / W;
+  const VF zero(0.0f);
+  VF probe(0.0f);
 
   auto tile = [&](core::BsOptionAos* x) {
     alignas(64) double buf[5][W];
@@ -479,22 +492,44 @@ void price_from_aos_sp_width(const core::BsAosView& batch) {
       x[ln].call = buf[3][ln];
       x[ln].put = buf[4][ln];
     }
+    probe = probe + (r.call * zero + r.put * zero);
   };
 
   // x2 unroll, as in the DP fused path: the second tile's transpose
   // overlaps the first tile's transcendentals.
-  const std::ptrdiff_t npairs = nfull / 2;
-#pragma omp parallel for schedule(static)
-  for (std::ptrdiff_t p = 0; p < npairs; ++p) {
-    core::BsOptionAos* const x = o + static_cast<std::size_t>(2 * p) * W;
-    tile(x);
-    tile(x + W);
+  std::size_t t = 0;
+  for (; t + 2 <= nfull; t += 2) {
+    tile(o + t * W);
+    tile(o + (t + 1) * W);
   }
-  if (nfull % 2 != 0) tile(o + static_cast<std::size_t>(nfull - 1) * W);
+  if (t < nfull) tile(o + t * W);
 
   // Sub-W tail: scalar lanes of the same SP model, so the whole batch
   // shares one tolerance.
-  price_from_aos_sp_scalar(o, static_cast<std::size_t>(nfull) * W, n, rate, vol, div);
+  float lanes[W];
+  probe.storeu(lanes);
+  float sum = price_from_aos_sp_scalar(o, nfull * W, n, rate, vol, div);
+  for (float x : lanes) sum += x;
+  return std::isfinite(sum);
+}
+
+bool price_from_aos_sp(const core::BsAosView& batch, std::size_t begin, std::size_t end,
+                       WidthF w) {
+  switch (w) {
+    case WidthF::kScalar:
+      return std::isfinite(price_from_aos_sp_scalar(
+          batch.options.data(), begin, end, static_cast<float>(batch.rate),
+          static_cast<float>(batch.vol), static_cast<float>(batch.dividend)));
+    case WidthF::kAvx2: return price_from_aos_sp_range<8>(batch, begin, end);
+#if defined(FINBENCH_HAVE_AVX512)
+    case WidthF::kAvx512:
+    case WidthF::kAuto: return price_from_aos_sp_range<16>(batch, begin, end);
+#else
+    case WidthF::kAvx512:
+    case WidthF::kAuto: return price_from_aos_sp_range<8>(batch, begin, end);
+#endif
+  }
+  return false;
 }
 
 }  // namespace
@@ -534,21 +569,16 @@ void price_blocked_from_aos(core::BsAosView batch, Width w) {
 void price_blocked_from_aos_f32(core::BsAosView batch, WidthF w) {
   static obs::Counter& priced = obs::counter("bs.options_priced");
   priced.add(batch.size());
-  switch (w) {
-    case WidthF::kScalar:
-      price_from_aos_sp_scalar(batch.options.data(), 0, batch.size(),
-                               static_cast<float>(batch.rate), static_cast<float>(batch.vol),
-                               static_cast<float>(batch.dividend));
-      return;
-    case WidthF::kAvx2: price_from_aos_sp_width<8>(batch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case WidthF::kAvx512:
-    case WidthF::kAuto: price_from_aos_sp_width<16>(batch); return;
-#else
-    case WidthF::kAvx512:
-    case WidthF::kAuto: price_from_aos_sp_width<8>(batch); return;
-#endif
-  }
+  omp_split(static_cast<std::ptrdiff_t>(batch.size()), [&](std::ptrdiff_t b, std::ptrdiff_t e) {
+    price_from_aos_sp(batch, static_cast<std::size_t>(b), static_cast<std::size_t>(e), w);
+  });
+}
+
+bool price_blocked_from_aos_f32(core::BsAosView batch, std::size_t begin, std::size_t end,
+                                WidthF w) {
+  static obs::Counter& priced = obs::counter("bs.options_priced");
+  priced.add(end - begin);
+  return price_from_aos_sp(batch, begin, end, w);
 }
 
 void price_blocked_sp(core::BsBlockedView batch, WidthF w) {

@@ -4,12 +4,12 @@
 // Threading model: any number of client threads submit through the
 // lock-free ring; one dispatcher thread drains it, groups fusable
 // requests, and prices each group through Engine::price_group — which
-// parallelizes *inside* the fused batch on the engine::ThreadPool, so the
-// heavy lifting runs on the existing pool workers, not the dispatcher.
+// prices every member in place, in parallel on the engine::ThreadPool, so
+// the heavy lifting runs on the existing pool workers, not the dispatcher.
 // The dispatcher's own loop is allocation-free at steady state: working
-// vectors keep their capacity, the group scratch keeps its arena blocks
-// and engine Scratch, and the wake-up handshake only touches a mutex when
-// the dispatcher has declared itself idle.
+// vectors and the group scratch's segment buffers keep their capacity,
+// each request keeps its engine Scratch, and the wake-up handshake only
+// touches a mutex when the dispatcher has declared itself idle.
 
 #include "finbench/serve/server.hpp"
 
@@ -326,8 +326,8 @@ void Server::process(std::uint64_t now) {
   if (completed_any) signal_done();
 
   // Greedy coalescing: seed with the oldest unclaimed job, sweep the rest
-  // of the drained burst for fusable partners, price the group as one
-  // fused batch. With coalescing off every job is its own group.
+  // of the drained burst for fusable partners, price the group in one
+  // engine execution. With coalescing off every job is its own group.
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     if (claimed_[i] != 0) continue;
     members_.clear();
@@ -349,13 +349,7 @@ void Server::process(std::uint64_t now) {
         total += m;
       }
     }
-    // A fused group runs under the most urgent member's budget.
-    double deadline = 0.0;
-    for (PricingJob* mjob : members_) {
-      const double d = mjob->request.deadline_seconds;
-      if (d > 0.0 && (deadline <= 0.0 || d < deadline)) deadline = d;
-    }
-    group_scratch_.deadline_seconds = deadline;
+    // price_group runs the group under the most urgent member's budget.
     for (PricingJob* mjob : members_) {
       group_jobs_.push_back({&mjob->request, &mjob->result});
     }

@@ -308,6 +308,44 @@ TEST(EngineBsChunks, SoaMatchesDirectKernelBitwiseAcrossChunkEdges) {
       EXPECT_EQ(diff, 0u) << "n=" << n << " dividend=" << dividend;
     }
   }
+
+  // The other in-place rows, in their native layouts: the engine's chunks
+  // (pools of 1 and 4) land bitwise where the row's run_batch does under
+  // the pool's treatment.
+  engine::ThreadPool one(1);
+  Engine eng1(&one);
+  for (const char* id : {"bs.reference.scalar", "bs.basic.auto", "bs.advanced_vml.avx2",
+                         "bs.advanced_vml.auto", "blackscholes.blocked_fused.8f",
+                         "blackscholes.blocked_fused.16f"}) {
+    const engine::VariantInfo* v = Registry::instance().find(id);
+    ASSERT_NE(v, nullptr) << id;
+    ASSERT_NE(v->run_range, nullptr) << id;
+    for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{9}, kChunk - 1,
+                          kChunk + 1, (std::size_t{1} << 20) + 3}) {
+      core::Portfolio direct = core::Portfolio::bs(n, v->layout, 59);
+      PricingRequest req;
+      req.kernel_id = id;
+      req.portfolio = direct.view();
+      as_pool_participant([&] {
+        PricingResult r;
+        v->run_batch(req, direct.view(), r);
+      });
+      for (const Engine* e : {&eng1, &eng}) {
+        core::Portfolio priced = core::Portfolio::bs(n, v->layout, 59);
+        req.portfolio = priced.view();
+        const PricingResult res = e->price(req);
+        ASSERT_TRUE(res.ok) << id << " n=" << n << ": " << res.error;
+        EXPECT_EQ(res.items, n);
+        std::size_t diff = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          const robust::BsElem a = robust::bs_elem(priced.view(), i);
+          const robust::BsElem b = robust::bs_elem(direct.view(), i);
+          diff += !same_bits(a.call, b.call) || !same_bits(a.put, b.put);
+        }
+        EXPECT_EQ(diff, 0u) << id << " n=" << n << " pool=" << e->pool_size();
+      }
+    }
+  }
 }
 
 TEST(EngineBsChunks, SinglePrecisionSoaMatchesDirectKernelBitwise) {
@@ -538,6 +576,52 @@ TEST(EngineBsChunks, DeadlineLeavesUnrunChunksNaN) {
 
 // The negotiation cache keys on the caller's data pointer: a reused AOS
 // request whose spots change in place must still price the new spots.
+// Members are priced in their own views, so requests on different
+// (rate, vol, dividend) curves fuse, and each member's prices are bitwise
+// its solo prices, across chunk edges that fall inside members.
+TEST(EngineGroup, MembersOnDifferentCurvesFuseAndPriceAsSolo) {
+  engine::ThreadPool pool(4);
+  Engine eng(&pool);
+  const std::size_t sizes[] = {1003, 20000, 37};
+  const double rates[] = {0.02, 0.05, 0.01}, vols[] = {0.2, 0.35, 0.15};
+  const double dividends[] = {0.0, 0.03, 0.01};
+  std::vector<core::BsBatchSoa> books, alone;
+  for (std::size_t m = 0; m < 3; ++m) {
+    books.push_back(core::make_bs_workload_soa(sizes[m], 83 + m));
+    books.back().rate = rates[m];
+    books.back().vol = vols[m];
+    books.back().dividend = dividends[m];
+  }
+  alone = books;
+  std::vector<PricingRequest> reqs(3);
+  std::vector<PricingResult> res(3);
+  std::vector<engine::GroupJob> group;
+  for (std::size_t m = 0; m < 3; ++m) {
+    reqs[m].kernel_id = "bs.intermediate.auto";
+    reqs[m].portfolio = core::view_of(books[m]);
+    group.push_back({&reqs[m], &res[m]});
+  }
+  ASSERT_TRUE(Engine::fusable(reqs[0], reqs[1]));
+  ASSERT_TRUE(Engine::fusable(reqs[0], reqs[2]));
+  engine::GroupScratch gs;
+  eng.price_group(group, gs);
+
+  for (std::size_t m = 0; m < 3; ++m) {
+    ASSERT_EQ(res[m].status.code(), StatusCode::kOk) << m << ": " << res[m].status.to_string();
+    EXPECT_EQ(res[m].request_id, res[0].request_id);
+    PricingRequest solo;
+    solo.kernel_id = "bs.intermediate.auto";
+    solo.portfolio = core::view_of(alone[m]);
+    ASSERT_TRUE(eng.price(solo).ok);
+    std::size_t diff = 0;
+    for (std::size_t i = 0; i < sizes[m]; ++i) {
+      diff += !same_bits(books[m].call[i], alone[m].call[i]) ||
+              !same_bits(books[m].put[i], alone[m].put[i]);
+    }
+    EXPECT_EQ(diff, 0u) << "member " << m;
+  }
+}
+
 TEST(Engine, NegotiatedRequestRepricesInPlaceInputChanges) {
   auto reused_book = core::make_bs_workload_aos(1024, 67);
   PricingRequest reused;

@@ -9,6 +9,9 @@
 //     across chunk granularity, schedule, pool size, task mode and
 //     price_group membership, because each option's value depends only
 //     on that option.
+//   - price_group members at a uniform depth are bitwise equal to their
+//     solo prices, because every member meets the kernel in its own lane
+//     groups.
 
 #include <algorithm>
 #include <cmath>
@@ -192,5 +195,43 @@ TEST(EngineLattice, PerOptionDepthsBitwiseEqualAcrossExecutionShapes) {
     const PricingResult solo_b =
         price(eng, base, std::span<const core::OptionSpec>(other_book), id);
     expect_bitwise(res_b.values, solo_b.values, std::string(id) + " group member b");
+  }
+}
+
+// Two 13-option members at one uniform depth: each member's segments start
+// at offsets its own chunking could produce, so its options meet the
+// kernel in the SIMD lane groups they have alone and every spec-layout
+// binomial variant prices each member bitwise as solo, in both exercise
+// styles.
+TEST(EngineLattice, UniformDepthGroupMembersPriceBitwiseAsSolo) {
+  engine::ThreadPool pool(4);
+  Engine eng(&pool);
+  for (const auto style : {core::ExerciseStyle::kEuropean, core::ExerciseStyle::kAmerican}) {
+    core::SingleOptionWorkloadParams p;
+    p.style = style;
+    const std::vector<core::OptionSpec> book_a = core::make_option_workload(13, 71, p);
+    const std::vector<core::OptionSpec> book_b = core::make_option_workload(13, 73, p);
+    for (const engine::VariantInfo* v : spec_binomial_variants()) {
+      const std::string shape =
+          v->id + (style == core::ExerciseStyle::kAmerican ? " american" : " european");
+      PricingRequest base;
+      base.steps = 256;
+      const PricingResult solo_a = price(eng, base, book_a, v->id.c_str());
+      const PricingResult solo_b = price(eng, base, book_b, v->id.c_str());
+      ASSERT_TRUE(solo_a.ok && solo_b.ok) << shape << ": " << solo_a.error << solo_b.error;
+
+      PricingRequest req_a = base, req_b = base;
+      req_a.kernel_id = req_b.kernel_id = v->id;
+      req_a.portfolio = core::view_of(std::span<const core::OptionSpec>(book_a));
+      req_b.portfolio = core::view_of(std::span<const core::OptionSpec>(book_b));
+      ASSERT_TRUE(Engine::fusable(req_a, req_b)) << shape;
+      PricingResult res_a, res_b;
+      const engine::GroupJob jobs[] = {{&req_a, &res_a}, {&req_b, &res_b}};
+      engine::GroupScratch gs;
+      eng.price_group(jobs, gs);
+      ASSERT_TRUE(res_a.ok && res_b.ok) << shape << ": " << res_a.error << res_b.error;
+      expect_bitwise(res_a.values, solo_a.values, shape + " member a");
+      expect_bitwise(res_b.values, solo_b.values, shape + " member b");
+    }
   }
 }

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -643,6 +644,53 @@ TEST(EngineRobust, GroupDeadlineScattersPartialStatusPerMember) {
   // Both members came out of the same fused execution.
   EXPECT_EQ(res_a.request_id, res_b.request_id);
   EXPECT_EQ(res_a.resolved_id, res_b.resolved_id);
+}
+
+// Under kReject a poisoned group member is rejected on its own: its batch
+// mate prices exactly as it does alone, and the rejection carries only the
+// poisoned member's mask and option count.
+TEST(EngineRobust, GroupRejectsOnlyThePoisonedMember) {
+  engine::ThreadPool pool(4);
+  Engine eng(&pool);
+
+  auto clean = core::make_bs_workload_soa(100, 61);
+  auto alone = clean;
+  auto poisoned = core::make_bs_workload_soa(28, 67);
+  poisoned.spot[3] = kNan;
+  poisoned.spot[20] = -1.0;
+  PricingRequest req_a, req_b, solo;
+  for (auto* r : {&req_a, &req_b, &solo}) {
+    r->kernel_id = "bs.intermediate.auto";
+    r->sanitize = SanitizePolicy::kReject;
+  }
+  req_a.portfolio = core::view_of(clean);
+  req_b.portfolio = core::view_of(poisoned);
+  solo.portfolio = core::view_of(alone);
+  ASSERT_TRUE(Engine::fusable(req_a, req_b));
+  const PricingResult want = eng.price(solo);
+  ASSERT_EQ(want.status.code(), StatusCode::kOk) << want.status.to_string();
+
+  PricingResult res_a, res_b;
+  engine::GroupScratch gs;
+  const engine::GroupJob group[] = {{&req_a, &res_a}, {&req_b, &res_b}};
+  eng.price_group(group, gs);
+
+  EXPECT_EQ(res_a.status.code(), StatusCode::kOk) << res_a.status.to_string();
+  EXPECT_EQ(res_a.items, clean.size());
+  EXPECT_TRUE(res_a.option_faults.empty());
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&clean.call[i], &alone.call[i], sizeof(double)), 0) << i;
+    EXPECT_EQ(std::memcmp(&clean.put[i], &alone.put[i], sizeof(double)), 0) << i;
+  }
+
+  EXPECT_EQ(res_b.status.code(), StatusCode::kInvalidInput) << res_b.status.to_string();
+  EXPECT_EQ(res_b.items, 0u);
+  ASSERT_EQ(res_b.option_faults.size(), poisoned.size());
+  for (std::size_t i = 0; i < poisoned.size(); ++i) {
+    EXPECT_EQ(res_b.option_faults[i] != 0, i == 3 || i == 20) << i;
+  }
+  EXPECT_NE(res_b.status.to_string().find("2 of 28 option(s)"), std::string::npos)
+      << res_b.status.to_string();
 }
 
 TEST(EngineRobust, PreCancelledTokenPricesNothing) {

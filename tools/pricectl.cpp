@@ -202,11 +202,11 @@ void print_parallel_stats() {
 }
 
 // --serve N: the closed-loop request-stream mode. The workload splits into
-// N sub-requests (each drawing its own options from seed + index over the
-// same batch scalars, so the group is fusable by construction); every rep
+// N sub-requests (each drawing its own options from seed + index, with
+// identical knobs, so the group is fusable by construction); every rep
 // submits all N to a serve::Server and waits for completion, which
 // exercises the queue, the admission gate, and — unless --no-coalesce —
-// the coalescer re-fusing the stream back into large batches.
+// the coalescer pricing the stream as groups of in-place members.
 // `v` is null under auto dispatch (the intent has no registry entry yet);
 // `family` is then the canonical kernel family, and the reporting variant
 // is looked up from the first job's resolved id after the run.
