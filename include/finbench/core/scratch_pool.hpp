@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <span>
 
+#include "finbench/arch/aligned.hpp"
 #include "finbench/core/portfolio.hpp"
 
 namespace finbench::core {
@@ -131,6 +132,26 @@ class ScratchPool {
   std::size_t slot_doubles_ = 0;
   int slots_ = 0;
   std::atomic<std::uint64_t> free_{0};
+};
+
+// One caller's scratch of at least `doubles`: a lease from `pool` when it
+// has room, else a local aligned allocation. The lease keeps engine steady
+// state heap-free; the fallback keeps standalone kernel calls (tests,
+// benches, exhausted pools) correct.
+struct ScratchBuf {
+  ScratchPool::Lease lease;
+  arch::AlignedVector<double> local;
+  double* data = nullptr;
+
+  ScratchBuf(ScratchPool* pool, std::size_t doubles) {
+    if (pool != nullptr) lease = pool->claim(doubles);
+    if (lease) {
+      data = lease.data();
+    } else {
+      local.resize(doubles);
+      data = local.data();
+    }
+  }
 };
 
 }  // namespace finbench::core

@@ -7,15 +7,14 @@
 // cached across repetitions, and its one-time cost reported in
 // PricingResult::convert_seconds/convert_bytes; outputs are copied back
 // into the caller's portfolio after every run, inside the timed region),
-// partitions specs-layout portfolios into cost-model-weighted chunks (and
-// Black–Scholes arrays into up-to-16K-option chunks that check, price and
-// guard themselves), and executes them on a persistent thread pool with
+// partitions every workload into chunks — Black–Scholes arrays into
+// up-to-16K-option chunks that check, price and guard themselves, the
+// rest into cost-model-weighted or equal stripes — and executes them
+// through each variant's run_range on a persistent thread pool with
 // dynamic chunk self-scheduling (PricingRequest::schedule selects
-// dynamic/static for specs). A request is priced as a group of one: the
-// same chunk pipeline prices a coalesced group's members in place
-// (finbench/engine/group.hpp). Variants without a run_range adapter (the
-// blocked AoSoA rows, Brownian path construction) fall through to the
-// kernel's native batch entry point.
+// dynamic/static outside the Black–Scholes family). A request is priced
+// as a group of one: the same chunk pipeline prices a coalesced group's
+// members in place (finbench/engine/group.hpp).
 //
 // Steady state is allocation-free: re-pricing the same request through
 // the two-argument price() overload performs zero heap allocations per
@@ -64,10 +63,10 @@ class Engine {
   // same-shaped groups are heap-allocation-free.
   void price_group(std::span<const GroupJob> group, GroupScratch& scratch) const;
 
-  // True when `a` and `b` may share one execution: same variant, which
-  // prices ranges in place and is deterministic (non-statistical), same
-  // workload layout, matching accuracy/robustness knobs, and no active
-  // fault plan. Auto-intent requests ("blackscholes.auto") compare by
+  // True when `a` and `b` may share one execution: same variant, which is
+  // deterministic (non-statistical), matching accuracy/robustness knobs,
+  // and no active fault plan. Their workload layouts may differ: each
+  // member negotiates on its own. Auto-intent requests ("blackscholes.auto") compare by
   // *resolved plan*: both resolve through the tuner first and fuse only
   // when they land on the same concrete variant, schedule, and chunk
   // granularity.

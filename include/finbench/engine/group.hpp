@@ -16,14 +16,15 @@
 // fill, writeback and status.
 //
 // Fusion contract (Engine::fusable): two requests fuse when they resolve
-// to the same kernel variant, the variant prices ranges in place
-// (run_range) and is deterministic, the requests carry the same workload
-// layout, agree on every accuracy and robustness knob, and carry no active
-// fault plan. Members may sit on different (rate, vol, dividend) curves:
-// each member's kernel reads its own view's scalars. Statistical
-// estimators (Monte Carlo) never fuse: their per-option RNG substreams are
-// keyed by batch index, so coalescing would change the answer a request
-// gets depending on who it shares a batch with.
+// to the same kernel variant, the variant is deterministic, and the
+// requests agree on every accuracy and robustness knob and carry no active
+// fault plan. Members may carry different workload layouts (each
+// negotiates into the variant's layout through its own Scratch) and sit on
+// different (rate, vol, dividend) curves: each member's kernel reads its
+// own view's scalars. Statistical estimators (Monte Carlo) never fuse:
+// their per-option RNG substreams are keyed by batch index, so coalescing
+// would change the answer a request gets depending on who it shares a
+// batch with.
 //
 // Determinism: every segment starts at an offset within its member that
 // the member's solo chunking could also produce (0, or a multiple of the

@@ -55,11 +55,11 @@ struct VariantInfo {
   bool statistical = false;
 
   // Graceful degradation: when a chunk of this variant fails its output
-  // guard (or throws), the engine re-prices the chunk through this
-  // variant instead (finbench/robust, docs/robustness.md). "" means
-  // fall back to reference_id; the chain is followed until a variant
-  // succeeds or the family reference itself fails. Each link must share
-  // the variant's layout family.
+  // guard (or throws), the engine re-prices the chunk's range in place
+  // through this variant instead (finbench/robust, docs/robustness.md).
+  // "" means fall back to reference_id; the chain is followed through
+  // links on the variant's layout until one succeeds, and a Black–Scholes
+  // layout whose chain is exhausted ends in the scalar closed form.
   std::string fallback_id;
 
   bool european_only = false;  // variant cannot price American exercise
@@ -73,9 +73,10 @@ struct VariantInfo {
   double (*item_cost)(const core::OptionSpec&, const PricingRequest&) = nullptr;
 
   // Build the request's Scratch cache (pre-generated normal streams,
-  // lane-blocked layouts, pre-sized result buffers). Called once before
-  // any run_range chunk executes; run_batch prepares internally. Null =
-  // nothing to prepare.
+  // lane-blocked layouts, scratch pools, the kPaths output count). Called
+  // by the engine before any run_range chunk executes, and for each
+  // fallback link before it repairs a segment; run_batch prepares
+  // internally. Null = nothing to prepare.
   //
   // Every adapter hook receives the workload view to execute — this is the
   // request's own portfolio for a layout match, or the engine's negotiated
@@ -84,20 +85,26 @@ struct VariantInfo {
   void (*prepare)(const PricingRequest&, const core::PortfolioView&) = nullptr;
 
   // Execute the whole workload through the kernel's native batch entry
-  // point (kernel-internal OpenMP) — what the fig/tab benchmarks dispatch.
+  // point — an OpenMP split over the same range body as run_range. This is
+  // what the fig/tab benchmarks and the self-validation dispatch; the
+  // engine never calls it.
   void (*run_batch)(const PricingRequest&, const core::PortfolioView&,
                     PricingResult&) = nullptr;
 
-  // Execute items [begin, end) of the workload: a kSpecs adapter writes
-  // values[begin..end) (and std_errors for MC); a Black–Scholes adapter
-  // writes the view's call/put arrays over the range. Must be safe to call
-  // concurrently for disjoint ranges; null = whole-batch only (the engine
-  // then falls back to run_batch). Must not allocate: chunks run in the
-  // engine's zero-steady-state-allocation loop (buffers come from prepare
-  // / the request Scratch). Returns false when the adapter knows an output
-  // it wrote is not finite — the Black–Scholes adapters probe their outputs
-  // in registers, so a true return lets the engine skip the finite-mode
-  // guard scan; kSpecs adapters return true and are guarded regardless.
+  // Execute items [begin, end) of the workload on the calling thread: a
+  // kSpecs adapter writes values[begin..end) (and std_errors for MC); a
+  // kPaths adapter writes those paths' entries of values (point-major);
+  // a Black–Scholes-layout adapter writes the view's call/put arrays over
+  // the range. Every variant has one; the engine prices every request
+  // through it. Must be safe to call concurrently for disjoint ranges whose
+  // interior boundaries are multiples of 8 (16 for Black–Scholes rows, and
+  // of the block width on the blocked layout). Must not allocate: chunks
+  // run in the engine's zero-steady-state-allocation loop (buffers come
+  // from prepare / the request Scratch). Returns false when the adapter
+  // knows an output it wrote is not finite — the Black–Scholes-layout
+  // adapters probe their outputs in registers, so a true return lets the
+  // engine skip the finite-mode guard scan; the other adapters return true
+  // (kSpecs outputs are guarded regardless).
   bool (*run_range)(const PricingRequest&, const core::PortfolioView&, std::size_t begin,
                     std::size_t end, PricingResult&) = nullptr;
 

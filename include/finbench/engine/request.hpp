@@ -195,10 +195,10 @@ struct PricingResult {
   // outputs by design.
   std::vector<std::uint8_t> option_faults;
 
-  // Outcome per engine chunk, aligned with the run's chunk partition;
-  // empty for whole-batch (single-chunk) execution, where `status` alone
-  // tells the story. Partial results after a deadline: kDeadline/kNotRun
-  // chunks hold unpriced items.
+  // Outcome per engine segment (the member's share of one chunk), in
+  // order; at least one entry for every request that reached the kernel.
+  // Partial results after a deadline: kDeadline/kNotRun segments hold
+  // unpriced items.
   std::vector<std::uint8_t> chunk_status;  // ChunkStatus values
 
   std::size_t options_clamped = 0;   // sanitizer repaired in place / in copy

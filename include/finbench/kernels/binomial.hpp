@@ -107,8 +107,15 @@ void price_advanced_tile(std::span<const core::OptionSpec> opts, int steps,
 // view-shared rate/vol/dividend, and both the call and put prices are
 // written back into the tiles (fields 3 and 4) — no OptionSpec gather.
 // Lanes whose block width is not a multiple of W fall back to scalar lanes.
+// The range entry prices the lane-blocks holding options [begin, end) on
+// the calling thread (`begin` a multiple of the block width; the last
+// block is priced whole, padded lanes included) and returns whether every
+// output it wrote is finite; the whole-batch entry is an OpenMP split over
+// it, bitwise-equal for any split.
 void price_blocked(const core::BsBlockedView& view, int steps, Width w = Width::kAuto,
                    core::ScratchPool* scratch = nullptr);
+bool price_blocked(const core::BsBlockedView& view, std::size_t begin, std::size_t end,
+                   int steps, Width w = Width::kAuto, core::ScratchPool* scratch = nullptr);
 
 // --- Shared CRR derivation (banded / blocked entry points) -------------------
 namespace detail {

@@ -47,16 +47,17 @@ inline constexpr double kBytesPerOption = 40.0;  // 24 in + 16 out
 // but the same kernels now also price arena-backed converted portfolios
 // (core::Portfolio / core::convert) with zero copies.
 //
-// Range entries: every kernel that prices the Black–Scholes view in place
-// (not the blocked layout) also has an overload taking [begin, end), which
-// prices those options on the calling thread (no OpenMP), for callers that
-// schedule ranges themselves (the engine's chunks). `begin` must be a
-// multiple of 16 (the widest lane count, so aligned loads hold and every
-// option meets the same SIMD lane in any split); results are bitwise-equal
-// to the whole-batch entry's. They return true when every call and put
-// they wrote is finite, from a probe accumulated as the outputs were
-// stored. Each whole-batch entry is an OpenMP split over its range body
-// (the reference is a plain loop over it).
+// Range entries: every kernel that prices a Black–Scholes view in place
+// also has an overload taking [begin, end), which prices those options on
+// the calling thread (no OpenMP), for callers that schedule ranges
+// themselves (the engine's chunks). `begin` must be a multiple of 16 (the
+// widest lane count, so aligned loads hold and every option meets the same
+// SIMD lane in any split) and, on the blocked layout, of the block width;
+// results are bitwise-equal to the whole-batch entry's. The blocked entries
+// price every lane-block the range touches, padded lanes included. They
+// return true when every call and put they wrote is finite, from a probe
+// accumulated as the outputs were stored. Each whole-batch entry is an
+// OpenMP split over its range body (the reference is a plain loop over it).
 void price_reference(core::BsAosView batch);
 bool price_reference(core::BsAosView batch, std::size_t begin, std::size_t end);
 void price_basic(core::BsAosView batch);
@@ -81,6 +82,8 @@ bool price_advanced_vml(core::BsSoaView batch, std::size_t begin, std::size_t en
 // double storage (f64->f32 conversion stays in register), doubling the
 // lanes per tile at ~1e-7 absolute accuracy.
 void price_blocked(core::BsBlockedView batch, Width w = Width::kAuto);
+bool price_blocked(core::BsBlockedView batch, std::size_t begin, std::size_t end,
+                   Width w = Width::kAuto);
 
 // Fused AOS -> blocked -> AOS pipeline: transposes one lane-block at a
 // time into a stack-resident tile (L1-hot), prices it in register, and
@@ -97,6 +100,8 @@ void price_intermediate_sp(core::BsSoaFView batch, WidthF w = WidthF::kAuto);
 bool price_intermediate_sp(core::BsSoaFView batch, std::size_t begin, std::size_t end,
                            WidthF w = WidthF::kAuto);
 void price_blocked_sp(core::BsBlockedView batch, WidthF w = WidthF::kAuto);
+bool price_blocked_sp(core::BsBlockedView batch, std::size_t begin, std::size_t end,
+                      WidthF w = WidthF::kAuto);
 
 // SP twin of price_blocked_from_aos: the f64 AOS inputs narrow to f32 in
 // register (cvtpd_ps on a stack-resident tile), price through the shared

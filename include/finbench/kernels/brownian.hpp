@@ -41,6 +41,10 @@
 #include "finbench/rng/normal.hpp"
 #include "finbench/vecmath/array_math.hpp"
 
+namespace finbench::core {
+class ScratchPool;  // finbench/core/scratch_pool.hpp
+}
+
 namespace finbench::kernels::brownian {
 
 using vecmath::Width;
@@ -79,23 +83,50 @@ class BridgeSchedule {
 arch::AlignedVector<double> lane_block_normals(std::span<const double> z, std::size_t nsim,
                                                std::size_t per_path, int width);
 
+// Range entries: each builds paths [begin, end) of an nsim-path batch on
+// the calling thread and writes exactly the entries the whole-batch entry
+// writes for those paths (out[c * nsim + s]; the fused entry avg[s]), bit
+// for bit. `begin` must be a multiple of the lane count, and so must `end`
+// unless it is nsim. Path buffers lease from `scratch` (slots of
+// range_scratch_doubles(sched, lanes) doubles); a null or exhausted pool
+// falls back to a local allocation. Every whole-batch entry but the
+// reference is an OpenMP split over its range body.
+inline std::size_t range_scratch_doubles(const BridgeSchedule& sched, int lanes) {
+  // Two ping-pong path buffers and a normal chunk per lane, plus one
+  // lane's normals for a ragged final group.
+  const std::size_t w = static_cast<std::size_t>(lanes);
+  return (2 * sched.num_points() + sched.normals_per_path()) * w + sched.normals_per_path();
+}
+
 // Scalar Lis. 4, one path at a time; z holds nsim * normals_per_path values.
 void construct_reference(const BridgeSchedule& sched, std::span<const double> z,
                          std::size_t nsim, std::span<double> out);
-// + OpenMP across paths and simd pragmas on the per-level loop.
+void construct_reference(const BridgeSchedule& sched, std::span<const double> z,
+                         std::size_t nsim, std::span<double> out, std::size_t begin,
+                         std::size_t end, core::ScratchPool* scratch);
+// The reference's range body under OpenMP across paths.
 void construct_basic(const BridgeSchedule& sched, std::span<const double> z, std::size_t nsim,
                      std::span<double> out);
 // SIMD across paths; z must be lane-blocked for width `w`.
 void construct_intermediate(const BridgeSchedule& sched, std::span<const double> z,
                             std::size_t nsim, std::span<double> out, Width w = Width::kAuto);
+void construct_intermediate(const BridgeSchedule& sched, std::span<const double> z,
+                            std::size_t nsim, std::span<double> out, std::size_t begin,
+                            std::size_t end, Width w, core::ScratchPool* scratch);
 // Generates its own normals (Philox/ICDF) in cache-resident chunks.
 void construct_advanced_interleaved(const BridgeSchedule& sched, std::uint64_t seed,
                                     std::size_t nsim, std::span<double> out,
                                     Width w = Width::kAuto);
+void construct_advanced_interleaved(const BridgeSchedule& sched, std::uint64_t seed,
+                                    std::size_t nsim, std::span<double> out, std::size_t begin,
+                                    std::size_t end, Width w, core::ScratchPool* scratch);
 // Fused consumer: returns per-path arithmetic average of the path points
 // (excluding the pinned start); paths never touch DRAM.
 void construct_advanced_fused(const BridgeSchedule& sched, std::uint64_t seed, std::size_t nsim,
                               std::span<double> path_average_out, Width w = Width::kAuto);
+void construct_advanced_fused(const BridgeSchedule& sched, std::uint64_t seed, std::size_t nsim,
+                              std::span<double> path_average_out, std::size_t begin,
+                              std::size_t end, Width w, core::ScratchPool* scratch);
 
 // Cost model: ~5 flops per constructed midpoint (2 mul + 2 fma-ish),
 // 2^depth midpoints per path.

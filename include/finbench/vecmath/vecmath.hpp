@@ -27,8 +27,27 @@
 #include <limits>
 
 #include "finbench/simd/vec.hpp"
+#include "finbench/vecmath/array_math.hpp"
 
 namespace finbench::vecmath {
+
+// The kernels' width dispatch: runs f.template operator()<W>() with W the
+// lane count `w` selects — 1, 4, or the widest compiled in
+// (simd::kMaxVectorWidth) for kAvx512 and kAuto — and returns its result.
+template <class F>
+decltype(auto) with_width(Width w, F&& f) {
+  if (w == Width::kScalar) return f.template operator()<1>();
+  if (w == Width::kAvx2) return f.template operator()<4>();
+  return f.template operator()<simd::kMaxVectorWidth>();
+}
+
+// Single precision: 1, 8, or twice the widest double lane count.
+template <class F>
+decltype(auto) with_width(WidthF w, F&& f) {
+  if (w == WidthF::kScalar) return f.template operator()<1>();
+  if (w == WidthF::kAvx2) return f.template operator()<8>();
+  return f.template operator()<2 * simd::kMaxVectorWidth>();
+}
 
 using simd::Mask;
 using simd::Vec;

@@ -1,12 +1,14 @@
 #include "finbench/engine/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <exception>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <span>
 #include <string>
 #include <thread>
@@ -31,21 +33,23 @@ namespace {
 
 constexpr double kQuietNan = std::numeric_limits<double>::quiet_NaN();
 
-// SIMD-across-options kernels group lanes by position within the span they
-// are handed: an interior chunk boundary that is not a multiple of the
-// vector width would regroup lanes and perturb results in the last ulp.
-// Keeping boundaries 8-aligned (a multiple of every width we ship) makes
-// chunked execution bitwise identical to the whole-batch call.
+// SIMD-across-options (and across-paths) kernels group lanes by position
+// within the span they are handed: an interior chunk boundary that is not a
+// multiple of the vector width would regroup lanes and perturb results in
+// the last ulp. Keeping boundaries 8-aligned (a multiple of every width we
+// ship) makes chunked execution bitwise identical to the whole-batch call.
 constexpr std::size_t kChunkAlign = 8;
 
-// Black–Scholes chunks: at most 16K options, ~640 KB of inputs and
-// outputs, so a chunk's input check, kernel and any guard pass share one
-// L2-resident working set. A request below that per participant is split
-// evenly across the pool down to 1K-option chunks (a few pool wake-ups'
-// worth of pricing), so a request of up to 1K options is one chunk priced
-// on the caller.
+// Black–Scholes chunks (the bandwidth-bound "bs" family; the compute-bound
+// rows on its layouts take plain stripes): at most 16K options, ~640 KB of
+// inputs and outputs, so a chunk's input check, kernel and any guard pass
+// share one L2-resident working set. A request below that per participant
+// is split evenly across the pool down to 1K-option chunks (a few pool
+// wake-ups' worth of pricing), so a request of up to 1K options is one
+// chunk priced on the caller.
 // Chunk sizes are multiples of kBsAlign, the widest lane count (16 SP), so
-// every chunk starts on an aligned vector.
+// every chunk starts on an aligned vector; on the blocked layout chunks
+// also start on a lane-block boundary.
 constexpr std::size_t kBsChunk = 16384;
 constexpr std::size_t kBsMinChunk = 1024;
 constexpr std::size_t kBsAlign = 16;
@@ -103,6 +107,17 @@ std::size_t inject_corrupt_bs(const core::PortfolioView& view, const robust::Fau
   return hit;
 }
 
+// The values of items [begin, end), one run per output row: kSpecs and the
+// fused path average have one row, constructed paths one per point
+// (point-major, values[c * n + i]).
+template <class F>
+void for_each_row(std::vector<double>& values, std::size_t n, std::size_t begin,
+                  std::size_t end, F&& f) {
+  for (std::size_t at = 0; at < values.size(); at += n) {
+    f(std::span<double>{values.data() + at + begin, end - begin});
+  }
+}
+
 // Engine-side chunk faults (streams 2 and 3). The injected throw fires
 // *before* the kernel runs — the most adversarial ordering, since the
 // chunk's outputs are left untouched for the fallback chain to fill.
@@ -121,9 +136,9 @@ void inject_chunk_faults(const robust::FaultPlan& plan, std::ptrdiff_t chunk) {
 }
 
 // Re-price options [begin, end) of a BS view with the scalar closed form —
-// the terminal repair when a BS kernel throws and no fallback variant
-// shares its layout (the chunked BS rows' chains end in the AOS
-// reference, so their failed chunks always land here).
+// the terminal repair when a BS-layout kernel throws and no fallback link
+// on its layout succeeds (most chains end in the AOS reference, so their
+// failed segments land here).
 void repair_bs_range(const core::PortfolioView& view, std::size_t begin, std::size_t end) {
   for (std::size_t i = begin; i < end; ++i) {
     const robust::BsElem e = robust::bs_elem(view, i);
@@ -148,52 +163,20 @@ void mask_skipped_outputs(const std::vector<std::uint8_t>& mask, std::vector<dou
   }
 }
 
-// Outcome counter per terminal status code, so a scrape can alert on
-// error-class rates without parsing messages. Static handles: the counter
-// registry is touched once per code, not once per request.
+// Outcome counter per terminal status code (engine.status.<code>), so a
+// scrape can alert on error-class rates without parsing messages. The
+// handles resolve once: the counter registry is not touched per request.
 void count_status(robust::StatusCode code) {
-  switch (code) {
-    case robust::StatusCode::kOk: {
-      static obs::Counter& c = obs::counter("engine.status.ok");
-      c.add(1);
-      return;
+  constexpr std::size_t kCodes = static_cast<std::size_t>(robust::StatusCode::kKernelError) + 1;
+  static const std::array<obs::Counter*, kCodes> counters = [] {
+    std::array<obs::Counter*, kCodes> c{};
+    for (std::size_t i = 0; i < kCodes; ++i) {
+      c[i] = &obs::counter("engine.status." +
+                           std::string(robust::to_string(static_cast<robust::StatusCode>(i))));
     }
-    case robust::StatusCode::kDegraded: {
-      static obs::Counter& c = obs::counter("engine.status.degraded");
-      c.add(1);
-      return;
-    }
-    case robust::StatusCode::kInvalidArgument: {
-      static obs::Counter& c = obs::counter("engine.status.invalid_argument");
-      c.add(1);
-      return;
-    }
-    case robust::StatusCode::kInvalidInput: {
-      static obs::Counter& c = obs::counter("engine.status.invalid_input");
-      c.add(1);
-      return;
-    }
-    case robust::StatusCode::kNotFound: {
-      static obs::Counter& c = obs::counter("engine.status.not_found");
-      c.add(1);
-      return;
-    }
-    case robust::StatusCode::kDeadlineExceeded: {
-      static obs::Counter& c = obs::counter("engine.status.deadline_exceeded");
-      c.add(1);
-      return;
-    }
-    case robust::StatusCode::kResourceExhausted: {
-      static obs::Counter& c = obs::counter("engine.status.resource_exhausted");
-      c.add(1);
-      return;
-    }
-    case robust::StatusCode::kKernelError: {
-      static obs::Counter& c = obs::counter("engine.status.kernel_error");
-      c.add(1);
-      return;
-    }
-  }
+    return c;
+  }();
+  counters[static_cast<std::size_t>(code)]->add(1);
 }
 
 // Clear a result for a new execution, keeping its buffers' capacity.
@@ -247,29 +230,48 @@ Scratch& claim_scratch(const PricingRequest& req, std::uint64_t request_id) {
 
 Scratch::Run& run_of(const GroupJob& j) { return j.req->scratch->run; }
 
+// One flight-recorder record for a member's segment (worker -1 and zero
+// ticks for the post-pass: "never ran" looks different from "ran and
+// failed" in the dump).
+void record_flight(Scratch& s, std::uint64_t request_id, const VariantInfo& v,
+                   const GroupScratch::Segment& sg, const char* status, int worker = -1,
+                   double start_us = 0.0, double end_us = 0.0) {
+  obs::FlightRecord fr;
+  fr.request_id = request_id;
+  fr.chunk = sg.slot;
+  fr.worker = worker;
+  fr.begin = sg.begin;
+  fr.end = sg.end;
+  fr.start_us = start_us;
+  fr.end_us = end_us;
+  fr.set_kernel(v.id.c_str());
+  fr.set_status(status);
+  s.flight->record(fr);
+}
+
 void record_error(Scratch::Run& m, const char* what) {
   std::lock_guard<std::mutex> lock(m.mu);
   if (m.error.empty()) m.error = what;
 }
 
 // The chunk plan of one execution. Its boundaries are those a single
-// request of the members' combined size would get — equal stripes for
-// Black–Scholes layouts (sizes per kBsChunk above), cost-model-weighted for
-// dynamic scheduling (each chunk carries ~total/K weight, so expensive
-// long-dated options don't all land in one chunk), plain equal-count
-// stripes for static (the classic partition the imbalance experiment
-// compares against) — each moved down to an aligned offset within the
-// member it falls in (kBsAlign for Black–Scholes, kChunkAlign for specs),
-// so every member's options meet the kernel in the lane groups they would
-// have alone. Chunks are then cut at member boundaries into segments.
-// Duplicate boundaries are dropped, so every chunk is non-empty; with one
-// member this is that member's classic partition.
+// request of the members' combined size would get — bandwidth-sized
+// stripes for the Black–Scholes family (sizes per kBsChunk above),
+// cost-model-weighted for dynamic scheduling with a cost model (each chunk
+// carries ~total/K weight, so expensive long-dated options don't all land
+// in one chunk), plain equal-count stripes otherwise (the classic
+// partition the imbalance experiment compares against) — each moved down
+// to an aligned offset within the member it falls in (kBsAlign for
+// Black–Scholes, kChunkAlign otherwise, and a lane-block boundary on the
+// blocked layout), so every member's options meet the kernel in the lane
+// groups they would have alone. Chunks are then cut at member boundaries
+// into segments. Duplicate boundaries are dropped, so every chunk is
+// non-empty; with one member this is that member's classic partition.
 void plan_segments(const VariantInfo& v, std::span<const GroupJob> group, std::size_t total,
                    int nparts, arch::Schedule schedule, GroupScratch& gs) {
   gs.segments.clear();
   gs.chunks.assign(1, 0);
-  const bool bs = v.layout != Layout::kSpecs;
-  const std::size_t align = bs ? kBsAlign : kChunkAlign;
+  const bool bs = v.kernel == "bs";
   const std::size_t k = std::min(static_cast<std::size_t>(nparts), total);
   auto size_of = [&](std::size_t j) {
     const Scratch::Run& m = run_of(group[j]);
@@ -293,6 +295,11 @@ void plan_segments(const VariantInfo& v, std::span<const GroupJob> group, std::s
   auto cut = [&](std::size_t b) {
     if (b >= total) return;
     while (b >= coff + size_of(cm)) coff += size_of(cm++);
+    const core::PortfolioView& view = *run_of(group[cm]).view;
+    std::size_t align = bs ? kBsAlign : kChunkAlign;
+    if (view.layout == Layout::kBsBlocked) {
+      align = std::lcm(align, static_cast<std::size_t>(view.blocked.block));
+    }
     b -= (b - coff) % align;
     if (b <= pos) return;
     emit_to(b);
@@ -370,9 +377,10 @@ void Engine::execute(std::span<const GroupJob> group, GroupScratch& gs) const {
   // plan.)
   const ResolvedDispatch rd = resolve_dispatch(*this, *group[0].req);
   const VariantInfo* v = rd.v;
-  // Black–Scholes layouts with a range adapter price in chunks on the pool,
-  // each chunk checking its inputs, pricing, and guarding its own outputs.
-  const bool bs_chunked = v != nullptr && v->run_range != nullptr && v->layout != Layout::kSpecs;
+  // Black–Scholes layouts (all but kSpecs and kPaths) price into the view's
+  // call/put arrays, each chunk checking its inputs, pricing, and guarding
+  // its own outputs; the other layouts write PricingResult::values.
+  const bool bs = v != nullptr && v->layout != Layout::kSpecs && v->layout != Layout::kPaths;
 
   // --- Member set-up -------------------------------------------------------
   // Each member is reset, sanitized and negotiated on its own; a member
@@ -445,13 +453,13 @@ void Engine::execute(std::span<const GroupJob> group, GroupScratch& gs) const {
     }
 
     // --- Input sanitization ------------------------------------------------
-    // A chunked BS member under kSkip/kClamp with clean shared parameters
-    // defers the per-option scan to its chunks (Run::scan); kReject and
+    // A BS member under kSkip/kClamp with clean shared parameters defers
+    // the per-option scan to its chunks (Run::scan); kReject and
     // shared-parameter faults take the full serial scan first, so a
     // rejected member prices nothing.
     robust::SanitizeReport& san = s.sanitize_report;
     san.reset();
-    m.scan = bs_chunked && req.sanitize != robust::SanitizePolicy::kOff &&
+    m.scan = bs && req.sanitize != robust::SanitizePolicy::kOff &&
              req.sanitize != robust::SanitizePolicy::kReject &&
              robust::bs_shared_clean(m.working);
     if (req.sanitize != robust::SanitizePolicy::kOff && !m.scan) {
@@ -614,7 +622,7 @@ void Engine::execute(std::span<const GroupJob> group, GroupScratch& gs) const {
         res.options_repaired > 0) {
       if (res.chunks_degraded > 0) obs::flight_auto_dump("quarantine");
       finish(res, robust::Status::degraded(
-                      "degraded: " + std::to_string(res.options_clamped) + " clamped, " +
+                      std::to_string(res.options_clamped) + " clamped, " +
                       std::to_string(res.options_skipped) + " skipped, " +
                       std::to_string(res.options_repaired) + " repaired option(s), " +
                       std::to_string(res.chunks_degraded) + " fallback chunk(s)"));
@@ -623,148 +631,24 @@ void Engine::execute(std::span<const GroupJob> group, GroupScratch& gs) const {
     finish(res, robust::Status{});
   };
 
-  // --- Whole-batch execution -----------------------------------------------
-  // Variants without a range adapter never fuse (Engine::fusable), so a
-  // group here is one member; each member would be one batch. A negotiated
-  // run's outputs are written into the converted arrays, so each run ends
-  // with a writeback into the caller's portfolio — inside the timer, so
-  // res.seconds stays honest about what the caller's layout really costs.
-  // The whole batch is one unit of failure/fallback accounting; the
-  // cooperative deadline is only checked before the kernel runs.
-  if (!v->run_range) {
-    for (const GroupJob& j : group) {
-      if (!run_of(j).live) continue;
-      const PricingRequest& req = *j.req;
-      PricingResult& res = *j.res;
-      Scratch& s = *req.scratch;
-      Scratch::Run& m = s.run;
-      const core::PortfolioView& view = *m.view;
-      const std::size_t n = m.n;
-      // The whole batch is one chunk of flight-recorder accounting: one
-      // record covering [0, n), one sample in the per-chunk histogram.
-      auto record_flight = [&](const char* status, double start_us, double end_us) {
-        obs::FlightRecord fr;
-        fr.request_id = request_id;
-        fr.chunk = 0;
-        fr.worker = -1;
-        fr.begin = 0;
-        fr.end = n;
-        fr.start_us = start_us;
-        fr.end_us = end_us;
-        fr.set_kernel(v->id.c_str());
-        fr.set_status(status);
-        s.flight->record(fr);
-      };
-      if (expired(req)) {
-        res.chunks_deadline = 1;
-        record_flight("deadline", 0.0, 0.0);
-        continue;
-      }
-      const double batch_start_us = obs::trace::now_us();
-      bool priced = false;
-      try {
-        if (req.faults.any_engine_side()) inject_chunk_faults(req.faults, 0);
-        if (resilience::chaos_active()) resilience::maybe_inject(v->id.c_str(), request_id, 0);
-        v->run_batch(req, view, res);
-        priced = true;
-      } catch (const std::exception& e) {
-        record_error(m, e.what());
-      } catch (...) {
-        record_error(m, "non-std exception from kernel");
-      }
-      if (priced && req.faults.corrupt > 0.0) {
-        if (robust::is_bs_layout(view)) {
-          inject_corrupt_bs(view, req.faults, 0, n);
-        } else {
-          inject_corrupt_values(res.values, 0, req.faults);
-        }
-      }
-      if (!priced && req.fallback) {
-        // Walk the fallback chain through same-layout batch variants; for a
-        // BS batch an exhausted chain still has the scalar closed form as
-        // the terminal repair.
-        for (const VariantInfo* fb = fallback_of(*v); fb != nullptr && !priced;
-             fb = fallback_of(*fb)) {
-          if (fb->layout != view.layout || fb->run_batch == nullptr) break;
-          if (fb->european_only && view.layout == Layout::kSpecs &&
-              range_has_american(view.specs, 0, n)) {
-            continue;
-          }
-          PricingRequest sub = req;
-          sub.kernel_id = fb->id;
-          sub.faults = {};  // never inject into the repair path
-          sub.scratch.reset();
-          try {
-            fb->run_batch(sub, view, res);
-            priced = true;
-            res.chunks_degraded = 1;
-            obs::counter("robust.fallback.chunks").add(1);
-          } catch (...) {
-            // keep walking the chain
-          }
-        }
-        if (!priced && robust::is_bs_layout(view)) {
-          repair_bs_range(view, 0, n);
-          res.options_repaired += n;
-          res.chunks_degraded = 1;
-          obs::counter("robust.fallback.chunks").add(1);
-          priced = true;
-        }
-      }
-      if (!priced) {
-        res.chunks_failed = 1;
-        obs::counter("robust.fallback.exhausted").add(1);
-        record_flight("failed", batch_start_us, obs::trace::now_us());
-        continue;
-      }
-      // Output guardrails. BS batches repair violating options in place
-      // with the scalar closed form; a values-producing batch that fails the
-      // guard discloses the violating values as a failure (there is no
-      // cheaper honest number than the family reference, and re-pricing per
-      // option is the chunked path's job; statistical estimators get
-      // finiteness-only checks).
-      if (req.guard.mode != robust::GuardMode::kOff) {
-        if (robust::is_bs_layout(view)) {
-          res.options_repaired += robust::guard_and_repair_bs(view, req.guard, res.option_faults);
-        } else if (!res.values.empty() && view.layout == Layout::kSpecs &&
-                   robust::guard_specs_range(view.specs, res.values, req.guard, v->statistical,
-                                             res.option_faults, 0) > 0) {
-          record_error(m, "output guard failed");
-          res.chunks_failed = 1;
-        }
-      }
-      if (m.negotiated) core::copy_outputs(view, req.portfolio);
-      const double batch_end_us = obs::trace::now_us();
-      s.hist_chunk->record_seconds((batch_end_us - batch_start_us) * 1e-6);
-      record_flight(res.chunks_failed != 0     ? "failed"
-                    : res.chunks_degraded != 0 ? "degraded"
-                                               : "ok",
-                    batch_start_us, batch_end_us);
-      m.priced = res.chunks_failed == 0 ? (res.items != 0 ? res.items : n) : 0;
-    }
-    score_breaker();
-    for (const GroupJob& j : group) {
-      if (run_of(j).live) conclude(j);
-    }
-    return;
-  }
-
   // --- Chunked execution ---------------------------------------------------
-  // Every member's segments run on the pool. kSpecs segments write the
-  // member's res.values; Black–Scholes segments write the member's view's
-  // call/put arrays and each runs, on the worker that owns it: the input
-  // check (when the scan is deferred), the kernel with its output probe,
-  // and a guard pass over its own range only when the probe failed, the
-  // guard checks bounds, faults are injected or a sanitizer mask exists.
+  // Every member's segments run on the pool. Black–Scholes segments write
+  // the member's view's call/put arrays and each runs, on the worker that
+  // owns it: the input check (when the scan is deferred), the kernel with
+  // its output probe, and a guard pass over its own range only when the
+  // probe failed, the guard checks bounds, faults are injected or a
+  // sanitizer mask exists. Other segments write the member's res.values,
+  // sized here (kPaths: as the variant's prepare hook says) so no range
+  // ever allocates. A negotiated member's outputs land in the converted
+  // arrays and are written back into the caller's portfolio after the run
+  // — inside the timer, so res.seconds stays honest about what the
+  // caller's layout costs.
   for (const GroupJob& j : group) {
     const PricingRequest& req = *j.req;
     PricingResult& res = *j.res;
-    Scratch::Run& m = run_of(j);
+    Scratch& s = *req.scratch;
+    Scratch::Run& m = s.run;
     if (!m.live) continue;
-    if (!bs_chunked) {
-      res.values.assign(m.n, 0.0);
-      if (v->has_std_error) res.std_errors.assign(m.n, 0.0);
-    }
     if (v->prepare) {
       try {
         v->prepare(req, *m.view);
@@ -773,7 +657,12 @@ void Engine::execute(std::span<const GroupJob> group, GroupScratch& gs) const {
         total -= m.n;
         finish(res, robust::Status::kernel_error("variant '" + v->id + "' prepare failed: " +
                                                  e.what()));
+        continue;
       }
+    }
+    if (!bs) {
+      res.values.assign(v->layout == Layout::kPaths ? s.path_values : m.n, 0.0);
+      if (v->has_std_error) res.std_errors.assign(m.n, 0.0);
     }
   }
   if (total == 0) return;
@@ -782,9 +671,10 @@ void Engine::execute(std::span<const GroupJob> group, GroupScratch& gs) const {
   // resolved plan's for auto (pins keep the caller's value — see
   // PricingRequest::pin_schedule/pin_chunks). Black–Scholes chunks are
   // uniform and always claimed dynamically.
-  const arch::Schedule schedule = bs_chunked ? arch::Schedule::kDynamic : rd.schedule;
+  const bool bs_family = v->kernel == "bs";
+  const arch::Schedule schedule = bs_family ? arch::Schedule::kDynamic : rd.schedule;
   const int P = pool_->size();
-  const int nparts = schedule == arch::Schedule::kDynamic && !bs_chunked
+  const int nparts = schedule == arch::Schedule::kDynamic && !bs_family
                          ? P * std::max(1, rd.chunks_per_thread)
                          : P;
   plan_segments(*v, group, total, nparts, schedule, gs);
@@ -814,8 +704,8 @@ void Engine::execute(std::span<const GroupJob> group, GroupScratch& gs) const {
     std::uint64_t request_id;
     bool bs;
   };
-  ChunkCtx ctx{v,       group.data(), gs.segments.data(), gs.chunks.data(), /*remap=*/nullptr,
-               request_id, bs_chunked};
+  ChunkCtx ctx{v,          group.data(), gs.segments.data(), gs.chunks.data(),
+               /*remap=*/nullptr, request_id, bs};
   const auto run_chunk = [&ctx](std::ptrdiff_t k) {
     FINBENCH_SPAN("engine.chunk");
     const std::size_t c = ctx.remap != nullptr ? ctx.remap[k] : static_cast<std::size_t>(k);
@@ -865,10 +755,11 @@ void Engine::execute(std::span<const GroupJob> group, GroupScratch& gs) const {
             slot = static_cast<std::uint8_t>(ChunkStatus::kOk);
           } else {
             if (req.faults.corrupt > 0.0) {
-              inject_corrupt_values({res.values.data() + begin, end - begin}, begin,
-                                    req.faults);
+              for_each_row(res.values, m.n, begin, end, [&](std::span<double> row) {
+                inject_corrupt_values(row, begin, req.faults);
+              });
             }
-            if (guard_on &&
+            if (guard_on && view.layout == Layout::kSpecs &&
                 robust::guard_specs_range(view.specs.subspan(begin, end - begin),
                                           {res.values.data() + begin, end - begin}, req.guard,
                                           ctx.v->statistical, res.option_faults, begin) > 0) {
@@ -888,19 +779,11 @@ void Engine::execute(std::span<const GroupJob> group, GroupScratch& gs) const {
       }
       const double end_us = obs::trace::now_us();
       s.hist_chunk->record_seconds((end_us - start_us) * 1e-6);
-      obs::FlightRecord fr;
-      fr.request_id = ctx.request_id;
-      fr.chunk = sg.slot;
-      fr.worker = ThreadPool::current_participant();
-      fr.begin = begin;
-      fr.end = end;
-      fr.start_us = start_us;
-      fr.end_us = end_us;
-      fr.set_kernel(ctx.v->id.c_str());
-      fr.set_status(slot == static_cast<std::uint8_t>(ChunkStatus::kOk) ? "ok"
+      record_flight(s, ctx.request_id, *ctx.v, sg,
+                    slot == static_cast<std::uint8_t>(ChunkStatus::kOk) ? "ok"
                     : slot == kChunkRescan                               ? "rescan"
-                                                                         : "failed");
-      s.flight->record(fr);
+                                                                         : "failed",
+                    ThreadPool::current_participant(), start_us, end_us);
     }
   };
   pool_->run(static_cast<std::ptrdiff_t>(nchunks), run_chunk, schedule, site, cancel);
@@ -947,12 +830,14 @@ void Engine::execute(std::span<const GroupJob> group, GroupScratch& gs) const {
   }
 
   // --- Quarantine & fallback pass (serial, exceptional) --------------------
-  // Per member and segment: failed kSpecs segments re-price through the
-  // fallback chain's batch entry point on a sub-workload view, and the
-  // repaired values are guarded again before they are accepted; failed
-  // Black–Scholes segments re-price with the closed form. Runs on the
-  // caller thread; a degraded repetition may allocate — only clean
-  // steady-state repetitions are guaranteed allocation-free.
+  // Per member and segment: a failed segment re-prices in place through
+  // the fallback chain — each link on the variant's layout is prepared and
+  // runs the segment's range, and its outputs are guarded again before
+  // they are accepted; a Black–Scholes layout whose chain is exhausted
+  // ends in the closed form. Runs on the caller thread, with the member's
+  // task handoff off (the repair prices flat); a degraded repetition may
+  // allocate — only clean steady-state repetitions are guaranteed
+  // allocation-free.
   for (const GroupJob& j : group) {
     if (run_of(j).live) j.res->options_repaired += run_of(j).repaired.load();
   }
@@ -964,30 +849,34 @@ void Engine::execute(std::span<const GroupJob> group, GroupScratch& gs) const {
     Scratch::Run& m = s.run;
     const core::PortfolioView& view = *m.view;
     const std::size_t begin = sg.begin, end = sg.end;
-    // Post-pass flight records for segments the workers never touched
-    // (and for repaired ones below): worker -1, zero ticks — "never ran"
-    // looks different from "ran and failed" in the dump.
-    auto record_flight = [&](const char* status) {
-      obs::FlightRecord fr;
-      fr.request_id = request_id;
-      fr.chunk = sg.slot;
-      fr.worker = -1;
-      fr.begin = begin;
-      fr.end = end;
-      fr.set_kernel(v->id.c_str());
-      fr.set_status(status);
-      s.flight->record(fr);
-    };
     // Unpriced outputs read NaN, never a previous run's prices.
     auto nan_fill = [&] {
-      if (bs_chunked) {
+      if (bs) {
         for (std::size_t i = begin; i < end; ++i) {
           robust::bs_store_outputs(view, i, kQuietNan, kQuietNan);
         }
       } else {
-        std::fill(res.values.begin() + static_cast<std::ptrdiff_t>(begin),
-                  res.values.begin() + static_cast<std::ptrdiff_t>(end), kQuietNan);
+        for_each_row(res.values, m.n, begin, end,
+                     [](std::span<double> row) { std::fill(row.begin(), row.end(), kQuietNan); });
       }
+    };
+    // A fallback link's segment is accepted when its outputs pass the
+    // guard: BS outputs are repaired in place as in the chunks, values
+    // that fail the guard send the walk to the next link.
+    auto guarded = [&](const VariantInfo& fb, bool finite) {
+      if (req.guard.mode == robust::GuardMode::kOff) return true;
+      if (bs) {
+        if (!finite || req.guard.mode == robust::GuardMode::kFull ||
+            !res.option_faults.empty()) {
+          res.options_repaired +=
+              robust::guard_and_repair_bs(view, req.guard, res.option_faults, begin, end);
+        }
+        return true;
+      }
+      return view.layout != Layout::kSpecs ||
+             robust::guard_specs_range(view.specs.subspan(begin, end - begin),
+                                       {res.values.data() + begin, end - begin}, req.guard,
+                                       fb.statistical, res.option_faults, begin) == 0;
     };
     auto status = static_cast<ChunkStatus>(res.chunk_status[sg.slot]);
     if (status == ChunkStatus::kNotRun) {
@@ -997,43 +886,32 @@ void Engine::execute(std::span<const GroupJob> group, GroupScratch& gs) const {
       ++res.chunks_deadline;
       nan_fill();
       obs::counter("robust.deadline.chunks_skipped").add(1);
-      record_flight(late ? "deadline" : "not_run");
+      record_flight(s, request_id, *v, sg, late ? "deadline" : "not_run");
       continue;
     }
     if (status == ChunkStatus::kFailed && req.fallback) {
+      s.tasks_on = false;
       bool repaired = false;
-      if (bs_chunked) {
-        repair_bs_range(view, begin, end);
-        res.options_repaired += end - begin;
-        repaired = true;
-      }
       for (const VariantInfo* fb = fallback_of(*v); fb != nullptr && !repaired;
            fb = fallback_of(*fb)) {
-        if (fb->layout != Layout::kSpecs || fb->run_batch == nullptr) break;
-        if (fb->european_only && range_has_american(view.specs, begin, end)) continue;
-        PricingRequest sub = req;
-        sub.kernel_id = fb->id;
-        sub.faults = {};  // never inject into the repair path
-        sub.portfolio = core::view_of(view.specs.subspan(begin, end - begin));
-        sub.scratch.reset();
-        PricingResult subres;
-        try {
-          fb->run_batch(sub, sub.portfolio, subres);
-        } catch (...) {
-          continue;  // next link
-        }
-        if (subres.values.size() != end - begin) continue;
-        if (robust::guard_specs_range(view.specs.subspan(begin, end - begin), subres.values,
-                                      req.guard, fb->statistical, res.option_faults,
-                                      begin) > 0) {
+        if (fb->layout != v->layout) break;
+        if (fb->european_only && view.layout == Layout::kSpecs &&
+            range_has_american(view.specs, begin, end)) {
           continue;
         }
-        std::copy(subres.values.begin(), subres.values.end(),
-                  res.values.begin() + static_cast<std::ptrdiff_t>(begin));
-        if (!res.std_errors.empty() && subres.std_errors.size() == end - begin) {
-          std::copy(subres.std_errors.begin(), subres.std_errors.end(),
-                    res.std_errors.begin() + static_cast<std::ptrdiff_t>(begin));
+        try {
+          if (fb->prepare) fb->prepare(req, view);
+          // A link writing another output shape (whole paths for a path
+          // average) cannot fill this segment.
+          if (view.layout == Layout::kPaths && s.path_values != res.values.size()) continue;
+          repaired = guarded(*fb, fb->run_range(req, view, begin, end, res));
+        } catch (...) {
+          // next link
         }
+      }
+      if (!repaired && bs) {
+        repair_bs_range(view, begin, end);
+        res.options_repaired += end - begin;
         repaired = true;
       }
       if (repaired) {
@@ -1041,7 +919,7 @@ void Engine::execute(std::span<const GroupJob> group, GroupScratch& gs) const {
         res.chunk_status[sg.slot] = static_cast<std::uint8_t>(status);
         ++res.chunks_degraded;
         obs::counter("robust.fallback.chunks").add(1);
-        record_flight("degraded");
+        record_flight(s, request_id, *v, sg, "degraded");
       } else {
         obs::counter("robust.fallback.exhausted").add(1);
       }

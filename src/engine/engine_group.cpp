@@ -12,7 +12,7 @@
 namespace finbench::engine {
 
 bool Engine::fusable(const PricingRequest& a, const PricingRequest& b) {
-  if (a.kernel_id != b.kernel_id || a.portfolio.layout != b.portfolio.layout) return false;
+  if (a.kernel_id != b.kernel_id) return false;
   // Fault injection is per-request by contract and indexes the request's
   // own chunks, so any active plan opts the request out.
   if (a.faults.any() || b.faults.any()) return false;
@@ -25,14 +25,12 @@ bool Engine::fusable(const PricingRequest& a, const PricingRequest& b) {
       a.guard.mode != b.guard.mode || a.guard.bound_slack != b.guard.bound_slack) {
     return false;
   }
-  // Members are priced in place, range by range, so the variant needs a
-  // range adapter. Statistical estimators key their per-option RNG
-  // substreams by batch index — fusing would change a member's answer
-  // depending on who it shares a batch with. Deterministic kernels are
-  // element-wise across options, so fusion is bitwise-neutral.
-  auto in_place = [](const VariantInfo* v) {
-    return v != nullptr && v->run_range != nullptr && !v->statistical;
-  };
+  // Statistical estimators key their per-option RNG substreams by batch
+  // index — fusing would change a member's answer depending on who it
+  // shares a batch with. Deterministic kernels are element-wise across
+  // options, so fusion is bitwise-neutral. Members need not share a
+  // workload layout: each negotiates through its own Scratch.
+  auto deterministic = [](const VariantInfo* v) { return v != nullptr && !v->statistical; };
   // Auto-intent pairs fuse on their *resolved* plans, not the intent
   // string: both must land on the same concrete variant with the same
   // effective schedule and chunk granularity (each member resolves through
@@ -40,10 +38,10 @@ bool Engine::fusable(const PricingRequest& a, const PricingRequest& b) {
   if (tune::is_auto_id(a.kernel_id)) {
     const ResolvedDispatch ra = resolve_dispatch(Engine::shared(), a);
     const ResolvedDispatch rb = resolve_dispatch(Engine::shared(), b);
-    return in_place(ra.v) && ra.v == rb.v && ra.schedule == rb.schedule &&
+    return deterministic(ra.v) && ra.v == rb.v && ra.schedule == rb.schedule &&
            ra.chunks_per_thread == rb.chunks_per_thread;
   }
-  return in_place(Registry::instance().find(a.kernel_id));
+  return deterministic(Registry::instance().find(a.kernel_id));
 }
 
 void Engine::price_group(std::span<const GroupJob> group, GroupScratch& gs) const {

@@ -39,17 +39,21 @@ struct Scratch {
   // Monte Carlo stream flavor: one shared normal array of npath draws.
   arch::AlignedVector<double> z;
 
-  // Monte Carlo result buffer: whole-batch runs use it directly; chunked
-  // runs write disjoint [begin, end) slices of it (pre-sized by the
-  // variant's prepare hook so no chunk ever allocates).
+  // Monte Carlo result buffer: ranges write disjoint [begin, end) slices
+  // of it (pre-sized by the variant's prepare hook so no range ever
+  // allocates).
   std::vector<kernels::mc::McResult> mc;
 
   // Brownian bridge: schedule, per-path normals, and the lane-blocked
   // reordering for the SIMD variants (one width per request).
+  // path_values is the PricingResult::values count the prepared variant
+  // writes (npaths x points, or npaths for the fused path average), set by
+  // its prepare hook: the engine sizes a kPaths member's values from it.
   std::unique_ptr<kernels::brownian::BridgeSchedule> sched;
   arch::AlignedVector<double> bb_z;
   arch::AlignedVector<double> bb_z_blocked;
   int bb_blocked_width = 0;
+  std::size_t path_values = 0;
 
   // --- Layout negotiation (engine-owned) -----------------------------------
   // When the request's portfolio layout differs from the variant's, the
@@ -92,18 +96,19 @@ struct Scratch {
 
   // --- Kernel scratch pools (engine-owned) ---------------------------------
   // Per-worker kernel temporaries — binomial lattices, Monte Carlo normal
-  // chunks, the VML variant's d1/d2/xexp/qlog arrays — lease slots from
-  // these pools instead of allocating, so steady-state repetitions of a
-  // request never touch the heap. Carved from kernel_arena, which is
-  // deliberately separate from the negotiation `arena` above: renegotiation
-  // resets that arena, while pool slices must stay valid for the request's
-  // lifetime. reserve() is idempotent, so both the prepare hooks (chunked
-  // path) and the run_batch adapters (whole-batch path, bench harness) can
+  // chunks, the VML variant's d1/d2/xexp/qlog arrays, Brownian path
+  // buffers — lease slots from these pools instead of allocating, so
+  // steady-state repetitions of a request never touch the heap. Carved from
+  // kernel_arena, which is deliberately separate from the negotiation
+  // `arena` above: renegotiation resets that arena, while pool slices must
+  // stay valid for the request's lifetime. reserve() is idempotent, so both
+  // the prepare hooks (engine) and the run_batch adapters (exhibits) can
   // size them.
   core::Arena kernel_arena;
   core::ScratchPool lattice_pool;  // binomial: (steps+1) x lane-width doubles
   core::ScratchPool rng_pool;      // mc computed: kRngChunk doubles
   core::ScratchPool vml_pool;      // bs advanced_vml: 4 x kVmlChunk doubles
+  core::ScratchPool path_pool;     // brownian: range_scratch_doubles
 
   // --- Robustness (engine-owned; finbench/robust) --------------------------
   // Sanitizer verdict of the last pricing (reset() keeps mask capacity)

@@ -7,6 +7,7 @@
 // 1-month one, exactly the skew dynamic self-scheduling absorbs.
 
 #include <algorithm>
+#include <cmath>
 #include <span>
 
 #include "finbench/engine/task_group.hpp"
@@ -62,8 +63,8 @@ int max_steps(const PricingRequest& req, const core::PortfolioView& view) {
 }
 
 // Carve the per-worker lattice slots once per request; reserve() is
-// idempotent so the chunked path (via the prepare hook) and the whole-batch
-// path (lazily, below) share this. Steady-state repetitions never allocate.
+// idempotent so the engine (via the prepare hook) and the exhibits' run_batch
+// (lazily, below) share this. Steady-state repetitions never allocate.
 void reserve_lattice(const PricingRequest& req, const core::PortfolioView& view) {
   Scratch& s = scratch_of(req);
   s.lattice_pool.reserve(s.kernel_arena,
@@ -176,9 +177,10 @@ void run_batch(const PricingRequest& req, const core::PortfolioView& view,
 }
 
 // --- Blocked-layout family (Layout::kBsBlocked AoSoA tiles) ------------------
-// Whole-batch only: the blocked view carries no per-option expiry scaling
-// and writes call+put straight back into tile fields 3/4, so outputs flow
-// through the layout (validate.cpp's blocked reader), not res.values.
+// The blocked view carries no per-option expiry scaling and writes call+put
+// straight back into tile fields 3/4, so outputs flow through the layout
+// (validate.cpp's blocked reader), not res.values. Range entries start on a
+// lane-block boundary and return the kernel's output-finiteness probe.
 
 double blocked_flops(const PricingRequest& req) {
   return 2.0 * kernels::binomial::flops_per_option(req.steps);  // call + put
@@ -190,6 +192,13 @@ void reserve_blocked(const PricingRequest& req, const core::PortfolioView&) {
   Scratch& s = scratch_of(req);
   s.lattice_pool.reserve(s.kernel_arena, kernels::binomial::lattice_doubles(req.steps, 16),
                          scratch_slots());
+}
+
+template <Width W>
+bool range_blocked(const PricingRequest& req, const core::PortfolioView& view,
+                   std::size_t begin, std::size_t end, PricingResult&) {
+  return kernels::binomial::price_blocked(view.blocked, begin, end, req.steps, W,
+                                          &scratch_of(req).lattice_pool);
 }
 
 template <Width W>
@@ -206,13 +215,13 @@ void run_blocked(const PricingRequest& req, const core::PortfolioView& view,
 // gathered into an OptionSpec and both sides priced through the scalar
 // reference kernel. This is the comparison the CI lattice gate holds the
 // tile variants against (docs: the blocked family must beat the gather).
-void run_blocked_gather(const PricingRequest& req, const core::PortfolioView& view,
-                        PricingResult& res) {
-  reserve_blocked(req, view);
+bool range_blocked_gather(const PricingRequest& req, const core::PortfolioView& view,
+                          std::size_t begin, std::size_t end, PricingResult&) {
   const core::BsBlockedView& b = view.blocked;
   core::ScratchPool* pool = &scratch_of(req).lattice_pool;
   const std::size_t bw = static_cast<std::size_t>(b.block);
-  for (std::size_t i = 0; i < b.size(); ++i) {
+  double probe = 0.0;
+  for (std::size_t i = begin; i < end; ++i) {
     const std::size_t blk = i / bw;
     const std::size_t ln = i % bw;
     core::OptionSpec o{};
@@ -224,11 +233,21 @@ void run_blocked_gather(const PricingRequest& req, const core::PortfolioView& vi
     o.dividend = b.dividend;
     o.style = core::ExerciseStyle::kEuropean;
     o.type = core::OptionType::kCall;
-    kernels::binomial::price_reference({&o, 1}, req.steps, {b.field(blk, 3) + ln, 1}, pool);
+    double* call = b.field(blk, 3) + ln;
+    double* put = b.field(blk, 4) + ln;
+    kernels::binomial::price_reference({&o, 1}, req.steps, {call, 1}, pool);
     o.type = core::OptionType::kPut;
-    kernels::binomial::price_reference({&o, 1}, req.steps, {b.field(blk, 4) + ln, 1}, pool);
+    kernels::binomial::price_reference({&o, 1}, req.steps, {put, 1}, pool);
+    probe += *call * 0.0 + *put * 0.0;
   }
-  res.items = b.size();
+  return std::isfinite(probe);
+}
+
+void run_blocked_gather(const PricingRequest& req, const core::PortfolioView& view,
+                        PricingResult& res) {
+  reserve_blocked(req, view);
+  range_blocked_gather(req, view, 0, view.blocked.size(), res);
+  res.items = view.blocked.size();
   res.ok = true;
 }
 
@@ -246,6 +265,19 @@ VariantInfo base(const char* id, OptLevel level, int width, const char* desc) {
   v.flops_per_item = flops;
   v.bytes_per_item = bytes;
   v.item_cost = item_cost;
+  return v;
+}
+
+// Every option of a blocked book costs the same uniform-depth lattice, so
+// the rows carry no item_cost and their chunks are plain stripes.
+VariantInfo blocked_base(const char* id, OptLevel level, int width, const char* desc) {
+  VariantInfo v = base(id, level, width, desc);
+  v.layout = Layout::kBsBlocked;
+  v.reference_id = "binomial.blocked_gather.scalar";
+  v.european_only = true;
+  v.flops_per_item = blocked_flops;
+  v.item_cost = nullptr;
+  v.prepare = reserve_blocked;
   return v;
 }
 
@@ -315,35 +347,27 @@ void register_binomial(Registry& r) {
   // anchor (cross-layout comparison against the specs reference would
   // mismatch output shapes — blocked emits call+put pairs).
   {
-    VariantInfo v = base("binomial.blocked_gather.scalar", OptLevel::kReference, 1,
-                         "per-lane OptionSpec gather through the scalar reference");
-    v.layout = Layout::kBsBlocked;
+    VariantInfo v = blocked_base("binomial.blocked_gather.scalar", OptLevel::kReference, 1,
+                                 "per-lane OptionSpec gather through the scalar reference");
     v.reference_id = "";
-    v.european_only = true;
-    v.flops_per_item = blocked_flops;
     v.run_batch = run_blocked_gather;
+    v.run_range = range_blocked_gather;
     r.add(std::move(v));
   }
   {
-    VariantInfo v = base("binomial.blocked.4", OptLevel::kAdvanced, 4,
-                         "AoSoA tiles, 4-wide DP, dual call+put lattices");
-    v.layout = Layout::kBsBlocked;
-    v.reference_id = "binomial.blocked_gather.scalar";
-    v.european_only = true;
-    v.flops_per_item = blocked_flops;
+    VariantInfo v = blocked_base("binomial.blocked.4", OptLevel::kAdvanced, 4,
+                                 "AoSoA tiles, 4-wide DP, dual call+put lattices");
     v.fallback_id = "binomial.blocked_gather.scalar";
     v.run_batch = run_blocked<Width::kAvx2>;
+    v.run_range = range_blocked<Width::kAvx2>;
     r.add(std::move(v));
   }
   {
-    VariantInfo v = base("binomial.blocked.8", OptLevel::kAdvanced, 8,
-                         "AoSoA tiles, 8-wide DP (AVX-512), dual call+put lattices");
-    v.layout = Layout::kBsBlocked;
-    v.reference_id = "binomial.blocked_gather.scalar";
-    v.european_only = true;
-    v.flops_per_item = blocked_flops;
+    VariantInfo v = blocked_base("binomial.blocked.8", OptLevel::kAdvanced, 8,
+                                 "AoSoA tiles, 8-wide DP (AVX-512), dual call+put lattices");
     v.fallback_id = "binomial.blocked.4";
     v.run_batch = run_blocked<Width::kAuto>;
+    v.run_range = range_blocked<Width::kAuto>;
     r.add(std::move(v));
   }
 }

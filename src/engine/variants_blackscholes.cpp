@@ -5,11 +5,10 @@
 // bandwidth-bound, and copying millions of outputs would distort exactly
 // what Fig. 4 measures). run_batch is the kernels' whole-batch entry, whose
 // internal "#pragma omp parallel" over the batch IS the Fig. 4 experiment.
-// Every row that prices an AOS or SOA view in place also has run_range, the
-// kernel's range body that run_batch splits across OpenMP threads: the
-// engine prices these rows in chunks on its pool, each chunk checking its
-// inputs, pricing, and reporting its output probe. Only the blocked
-// (AoSoA) rows stay whole-batch.
+// Every row also has run_range, the kernel's range body that run_batch
+// splits across OpenMP threads: the engine prices every row in chunks on
+// its pool, each chunk checking its inputs, pricing, and reporting its
+// output probe.
 // A request in the "wrong" BS layout is not an error: the engine
 // negotiates it into the view these adapters receive.
 
@@ -97,12 +96,24 @@ void run_blocked(const PricingRequest&, const core::PortfolioView& view, Pricing
   res.ok = true;
 }
 
+template <Width W>
+bool range_blocked(const PricingRequest&, const core::PortfolioView& view, std::size_t begin,
+                   std::size_t end, PricingResult&) {
+  return kernels::bs::price_blocked(view.blocked, begin, end, W);
+}
+
 template <WidthF W>
 void run_blocked_sp(const PricingRequest&, const core::PortfolioView& view,
                     PricingResult& res) {
   kernels::bs::price_blocked_sp(view.blocked, W);
   res.items = view.blocked.size();
   res.ok = true;
+}
+
+template <WidthF W>
+bool range_blocked_sp(const PricingRequest&, const core::PortfolioView& view,
+                      std::size_t begin, std::size_t end, PricingResult&) {
+  return kernels::bs::price_blocked_sp(view.blocked, begin, end, W);
 }
 
 template <WidthF W>
@@ -212,6 +223,7 @@ void register_blackscholes(Registry& r) {
                          "AoSoA register tiles, 4-wide DP, streaming stores");
     v.tolerance = 1e-9;
     v.run_batch = run_blocked<Width::kAvx2>;
+    v.run_range = range_blocked<Width::kAvx2>;
     r.add(std::move(v));
   }
   {
@@ -220,6 +232,7 @@ void register_blackscholes(Registry& r) {
     v.tolerance = 1e-9;
     v.fallback_id = "blackscholes.blocked.4";
     v.run_batch = run_blocked<Width::kAuto>;
+    v.run_range = range_blocked<Width::kAuto>;
     r.add(std::move(v));
   }
   {
@@ -228,6 +241,7 @@ void register_blackscholes(Registry& r) {
     v.tolerance = 1e-3;  // SP arithmetic vs the DP reference
     v.bytes_per_item = bytes;  // storage stays f64: full 40 B/option move
     v.run_batch = run_blocked_sp<WidthF::kAvx2>;
+    v.run_range = range_blocked_sp<WidthF::kAvx2>;
     r.add(std::move(v));
   }
   {
@@ -237,6 +251,7 @@ void register_blackscholes(Registry& r) {
     v.bytes_per_item = bytes;
     v.fallback_id = "blackscholes.blocked.8f";
     v.run_batch = run_blocked_sp<WidthF::kAuto>;
+    v.run_range = range_blocked_sp<WidthF::kAuto>;
     r.add(std::move(v));
   }
   // --- Fused AOS -> f32 register tile (incl. conversion) -------------------

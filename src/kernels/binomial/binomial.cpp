@@ -8,7 +8,7 @@
 #include "finbench/core/scratch_pool.hpp"
 #include "finbench/obs/metrics.hpp"
 #include "finbench/obs/trace.hpp"
-#include "finbench/simd/vec.hpp"
+#include "finbench/vecmath/vecmath.hpp"
 
 namespace finbench::kernels::binomial {
 
@@ -42,26 +42,6 @@ double payoff(const core::OptionSpec& o, double s) {
   return o.type == core::OptionType::kCall ? std::max(s - o.strike, 0.0)
                                            : std::max(o.strike - s, 0.0);
 }
-
-// Per-worker lattice storage: lease from the engine's scratch pool when it
-// has a slice big enough, otherwise fall back to a local aligned
-// allocation. The fallback keeps standalone kernel calls (tests, benches,
-// exhausted pools) correct; the lease keeps engine steady state heap-free.
-struct LatticeBuf {
-  core::ScratchPool::Lease lease;
-  arch::AlignedVector<double> local;
-  double* data = nullptr;
-
-  LatticeBuf(core::ScratchPool* pool, std::size_t doubles) {
-    if (pool != nullptr) lease = pool->claim(doubles);
-    if (lease) {
-      data = lease.data();
-    } else {
-      local.resize(doubles);
-      data = local.data();
-    }
-  }
-};
 
 }  // namespace
 
@@ -188,7 +168,7 @@ void price_reference(std::span<const core::OptionSpec> opts, int steps, std::spa
   static obs::Counter& priced = obs::counter("binomial.options_priced");
   priced.add(opts.size());
   assert(out.size() >= opts.size());
-  LatticeBuf buf(scratch, static_cast<std::size_t>(steps) + 1);
+  core::ScratchBuf buf(scratch, static_cast<std::size_t>(steps) + 1);
   const std::span<double> lattice{buf.data, static_cast<std::size_t>(steps) + 1};
   for (std::size_t o = 0; o < opts.size(); ++o) {
     out[o] = price_one_reference(opts[o], steps, lattice);
@@ -206,7 +186,7 @@ void price_basic(std::span<const core::OptionSpec> opts, int steps, std::span<do
 #pragma omp parallel
   {
     FINBENCH_SPAN("binomial.thread");
-    LatticeBuf buf(scratch, static_cast<std::size_t>(steps) + 1);
+    core::ScratchBuf buf(scratch, static_cast<std::size_t>(steps) + 1);
     double* const call = buf.data;
 #pragma omp for schedule(static)
     for (std::ptrdiff_t o = 0; o < n; ++o) {
@@ -335,7 +315,7 @@ template <int W>
 void price_tail(std::span<const core::OptionSpec> opts, std::size_t first, int steps,
                 std::span<double> out, core::ScratchPool* scratch) {
   if (first == opts.size()) return;
-  LatticeBuf tail(scratch, one_simd_doubles(steps));
+  core::ScratchBuf tail(scratch, one_simd_doubles(steps));
   const std::span<double> lattice{tail.data, one_simd_doubles(steps)};
   for (std::size_t o = first; o < opts.size(); ++o) {
     out[o] = price_one_simd<W>(opts[o], steps, lattice);
@@ -351,7 +331,7 @@ void price_simd(std::span<const core::OptionSpec> opts, int steps, std::span<dou
 
 #pragma omp parallel
   {
-    LatticeBuf buf(scratch, static_cast<std::size_t>(steps + 1) * W);
+    core::ScratchBuf buf(scratch, static_cast<std::size_t>(steps + 1) * W);
     double* const call = buf.data;
 #pragma omp for schedule(static)
     for (std::ptrdiff_t g = 0; g < static_cast<std::ptrdiff_t>(groups); ++g) {
@@ -421,7 +401,7 @@ void price_tiled(std::span<const core::OptionSpec> opts, int steps, std::span<do
 
 #pragma omp parallel
   {
-    LatticeBuf buf(scratch, static_cast<std::size_t>(steps + 1) * W);
+    core::ScratchBuf buf(scratch, static_cast<std::size_t>(steps + 1) * W);
     double* const call = buf.data;
 #pragma omp for schedule(static)
     for (std::ptrdiff_t g = 0; g < static_cast<std::ptrdiff_t>(groups); ++g) {
@@ -452,33 +432,15 @@ constexpr int kTileSize = 16;  // fits the zmm/ymm register file with room to sp
 void price_intermediate(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
                         Width w, core::ScratchPool* scratch) {
   assert(out.size() >= opts.size());
-  switch (w) {
-    case Width::kScalar: price_simd<1>(opts, steps, out, scratch); return;
-    case Width::kAvx2: price_simd<4>(opts, steps, out, scratch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: price_simd<8>(opts, steps, out, scratch); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: price_simd<4>(opts, steps, out, scratch); return;
-#endif
-  }
+  vecmath::with_width(w, [&]<int W>() { price_simd<W>(opts, steps, out, scratch); });
 }
 
 void price_advanced(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
                     Width w, core::ScratchPool* scratch) {
   assert(out.size() >= opts.size());
-  switch (w) {
-    case Width::kScalar: price_tiled<1, kTileSize, false>(opts, steps, out, scratch); return;
-    case Width::kAvx2: price_tiled<4, kTileSize, false>(opts, steps, out, scratch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: price_tiled<8, kTileSize, false>(opts, steps, out, scratch); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: price_tiled<4, kTileSize, false>(opts, steps, out, scratch); return;
-#endif
-  }
+  vecmath::with_width(w, [&]<int W>() {
+    price_tiled<W, kTileSize, false>(opts, steps, out, scratch);
+  });
 }
 
 namespace {
@@ -486,17 +448,7 @@ namespace {
 template <int TS>
 void price_tiled_dispatch(std::span<const core::OptionSpec> opts, int steps,
                           std::span<double> out, Width w, core::ScratchPool* scratch) {
-  switch (w) {
-    case Width::kScalar: price_tiled<1, TS, false>(opts, steps, out, scratch); return;
-    case Width::kAvx2: price_tiled<4, TS, false>(opts, steps, out, scratch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: price_tiled<8, TS, false>(opts, steps, out, scratch); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: price_tiled<4, TS, false>(opts, steps, out, scratch); return;
-#endif
-  }
+  vecmath::with_width(w, [&]<int W>() { price_tiled<W, TS, false>(opts, steps, out, scratch); });
 }
 
 }  // namespace
@@ -518,17 +470,9 @@ void price_advanced_tile(std::span<const core::OptionSpec> opts, int steps,
 void price_advanced_unrolled(std::span<const core::OptionSpec> opts, int steps,
                              std::span<double> out, Width w, core::ScratchPool* scratch) {
   assert(out.size() >= opts.size());
-  switch (w) {
-    case Width::kScalar: price_tiled<1, kTileSize, true>(opts, steps, out, scratch); return;
-    case Width::kAvx2: price_tiled<4, kTileSize, true>(opts, steps, out, scratch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: price_tiled<8, kTileSize, true>(opts, steps, out, scratch); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: price_tiled<4, kTileSize, true>(opts, steps, out, scratch); return;
-#endif
-  }
+  vecmath::with_width(w, [&]<int W>() {
+    price_tiled<W, kTileSize, true>(opts, steps, out, scratch);
+  });
 }
 
 }  // namespace finbench::kernels::binomial

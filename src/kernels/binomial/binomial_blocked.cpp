@@ -15,94 +15,92 @@
 #include "finbench/core/scratch_pool.hpp"
 #include "finbench/kernels/binomial.hpp"
 #include "finbench/obs/metrics.hpp"
-#include "finbench/simd/vec.hpp"
+#include "finbench/vecmath/vecmath.hpp"
+#include "../omp_split.hpp"
 
 namespace finbench::kernels::binomial {
 
 namespace {
 
-// Pool-leased lattice storage with a local fallback (same contract as the
-// specs-layout kernels: leases keep engine steady state heap-free,
-// standalone calls still work).
-struct BlockLatticeBuf {
-  core::ScratchPool::Lease lease;
-  arch::AlignedVector<double> local;
-  double* data = nullptr;
-
-  BlockLatticeBuf(core::ScratchPool* pool, std::size_t doubles) {
-    if (pool != nullptr) lease = pool->claim(doubles);
-    if (lease) {
-      data = lease.data();
-    } else {
-      local.resize(doubles);
-      data = local.data();
-    }
-  }
-};
-
+// Lane-blocks [b0, b1) on the calling thread, through one leased pair of
+// lattices. Returns whether every call and put written is finite.
 template <int W>
-void price_blocked_width(const core::BsBlockedView& batch, int steps,
-                         core::ScratchPool* scratch) {
+bool price_blocked_width(const core::BsBlockedView& batch, std::size_t b0, std::size_t b1,
+                         int steps, core::ScratchPool* scratch) {
   using V = simd::Vec<double, W>;
-  const auto nblocks = static_cast<std::ptrdiff_t>(batch.num_blocks());
   const std::size_t bw = static_cast<std::size_t>(batch.block);
   const std::size_t lat = static_cast<std::size_t>(steps + 1) * W;
 
-#pragma omp parallel
-  {
-    BlockLatticeBuf buf(scratch, 2 * lat);
-    double* const call = buf.data;
-    double* const put = buf.data + lat;
-#pragma omp for schedule(static)
-    for (std::ptrdiff_t blk = 0; blk < nblocks; ++blk) {
-      const std::size_t b = static_cast<std::size_t>(blk);
-      const double* spot = batch.field(b, 0);
-      const double* strike = batch.field(b, 1);
-      const double* years = batch.field(b, 2);
-      double* out_call = batch.field(b, 3);
-      double* out_put = batch.field(b, 4);
-      for (std::size_t sub = 0; sub < bw; sub += W) {
-        alignas(64) double pu_a[W], pd_a[W];
-        for (int l = 0; l < W; ++l) {
-          core::OptionSpec o{};
-          o.spot = spot[sub + static_cast<std::size_t>(l)];
-          o.strike = strike[sub + static_cast<std::size_t>(l)];
-          o.years = years[sub + static_cast<std::size_t>(l)];
-          o.rate = batch.rate;
-          o.vol = batch.vol;
-          o.dividend = batch.dividend;
-          const detail::CrrDerived p = detail::crr_derived(o, steps);
-          pu_a[l] = p.pu_by_df;
-          pd_a[l] = p.pd_by_df;
-          double s = o.spot * std::pow(p.down, steps);
-          const double ratio = p.up / p.down;
-          for (int j = 0; j <= steps; ++j) {
-            call[static_cast<std::size_t>(j) * W + static_cast<std::size_t>(l)] =
-                std::max(s - o.strike, 0.0);
-            put[static_cast<std::size_t>(j) * W + static_cast<std::size_t>(l)] =
-                std::max(o.strike - s, 0.0);
-            s *= ratio;
-          }
+  core::ScratchBuf buf(scratch, 2 * lat);
+  double* const call = buf.data;
+  double* const put = buf.data + lat;
+  const V zero(0.0);
+  V probe(0.0);
+  for (std::size_t b = b0; b < b1; ++b) {
+    const double* spot = batch.field(b, 0);
+    const double* strike = batch.field(b, 1);
+    const double* years = batch.field(b, 2);
+    double* out_call = batch.field(b, 3);
+    double* out_put = batch.field(b, 4);
+    for (std::size_t sub = 0; sub < bw; sub += W) {
+      alignas(64) double pu_a[W], pd_a[W];
+      for (int l = 0; l < W; ++l) {
+        core::OptionSpec o{};
+        o.spot = spot[sub + static_cast<std::size_t>(l)];
+        o.strike = strike[sub + static_cast<std::size_t>(l)];
+        o.years = years[sub + static_cast<std::size_t>(l)];
+        o.rate = batch.rate;
+        o.vol = batch.vol;
+        o.dividend = batch.dividend;
+        const detail::CrrDerived p = detail::crr_derived(o, steps);
+        pu_a[l] = p.pu_by_df;
+        pd_a[l] = p.pd_by_df;
+        double s = o.spot * std::pow(p.down, steps);
+        const double ratio = p.up / p.down;
+        for (int j = 0; j <= steps; ++j) {
+          call[static_cast<std::size_t>(j) * W + static_cast<std::size_t>(l)] =
+              std::max(s - o.strike, 0.0);
+          put[static_cast<std::size_t>(j) * W + static_cast<std::size_t>(l)] =
+              std::max(o.strike - s, 0.0);
+          s *= ratio;
         }
-        const V pu = V::load(pu_a);
-        const V pd = V::load(pd_a);
-        // Call and put reduce together: two independent fmadd chains per
-        // iteration hide the FMA latency the single-lattice loop exposes.
-        for (int i = steps; i > 0; --i) {
-          for (int j = 0; j <= i - 1; ++j) {
-            const std::size_t at = static_cast<std::size_t>(j) * W;
-            const V cu = V::load(call + at + W);
-            const V cd = V::load(call + at);
-            const V qu = V::load(put + at + W);
-            const V qd = V::load(put + at);
-            fmadd(pu, cu, pd * cd).store(call + at);
-            fmadd(pu, qu, pd * qd).store(put + at);
-          }
-        }
-        V::load(call).storeu(out_call + sub);
-        V::load(put).storeu(out_put + sub);
       }
+      const V pu = V::load(pu_a);
+      const V pd = V::load(pd_a);
+      // Call and put reduce together: two independent fmadd chains per
+      // iteration hide the FMA latency the single-lattice loop exposes.
+      for (int i = steps; i > 0; --i) {
+        for (int j = 0; j <= i - 1; ++j) {
+          const std::size_t at = static_cast<std::size_t>(j) * W;
+          const V cu = V::load(call + at + W);
+          const V cd = V::load(call + at);
+          const V qu = V::load(put + at + W);
+          const V qd = V::load(put + at);
+          fmadd(pu, cu, pd * cd).store(call + at);
+          fmadd(pu, qu, pd * qd).store(put + at);
+        }
+      }
+      const V c = V::load(call);
+      const V q = V::load(put);
+      c.storeu(out_call + sub);
+      q.storeu(out_put + sub);
+      probe = probe + (c * zero + q * zero);
     }
+  }
+  return std::isfinite(simd::hsum(probe));
+}
+
+// A block width that is not a multiple of the lane count would regroup
+// lanes mid-block, so it falls back to scalar lanes (correct for any block).
+bool price_blocks(const core::BsBlockedView& view, std::size_t b0, std::size_t b1, int steps,
+                  Width w, core::ScratchPool* scratch) {
+  const int width = vecmath::with_width(w, []<int W>() { return W; });
+  switch (view.block % width != 0 ? 1 : width) {
+    case 4: return price_blocked_width<4>(view, b0, b1, steps, scratch);
+#if defined(FINBENCH_HAVE_AVX512)
+    case 8: return price_blocked_width<8>(view, b0, b1, steps, scratch);
+#endif
+    default: return price_blocked_width<1>(view, b0, b1, steps, scratch);
   }
 }
 
@@ -112,29 +110,21 @@ void price_blocked(const core::BsBlockedView& view, int steps, Width w,
                    core::ScratchPool* scratch) {
   static obs::Counter& priced = obs::counter("binomial.options_priced");
   priced.add(view.size());
-  int width;
-  switch (w) {
-    case Width::kScalar: width = 1; break;
-    case Width::kAvx2: width = 4; break;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: width = 8; break;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: width = 4; break;
-#endif
-    default: width = 1; break;
-  }
-  // A block width that is not a multiple of the lane count would regroup
-  // lanes mid-block: fall back to scalar lanes (correct for any block).
-  if (width > 1 && view.block % width != 0) width = 1;
-  switch (width) {
-    case 4: price_blocked_width<4>(view, steps, scratch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case 8: price_blocked_width<8>(view, steps, scratch); return;
-#endif
-    default: price_blocked_width<1>(view, steps, scratch); return;
-  }
+  const auto bw = static_cast<std::ptrdiff_t>(view.block);
+  omp_split(static_cast<std::ptrdiff_t>(view.size()),
+            [&](std::ptrdiff_t b, std::ptrdiff_t e) {
+              price_blocks(view, static_cast<std::size_t>(b / bw),
+                           static_cast<std::size_t>((e + bw - 1) / bw), steps, w, scratch);
+            },
+            bw);
+}
+
+bool price_blocked(const core::BsBlockedView& view, std::size_t begin, std::size_t end,
+                   int steps, Width w, core::ScratchPool* scratch) {
+  static obs::Counter& priced = obs::counter("binomial.options_priced");
+  priced.add(end - begin);
+  const auto bw = static_cast<std::size_t>(view.block);
+  return price_blocks(view, begin / bw, (end + bw - 1) / bw, steps, w, scratch);
 }
 
 }  // namespace finbench::kernels::binomial

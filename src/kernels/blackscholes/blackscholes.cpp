@@ -15,7 +15,7 @@
 #include "finbench/obs/trace.hpp"
 #include "finbench/vecmath/vecmath.hpp"
 #include "finbench/vecmath/vecmathf.hpp"
-#include "omp_split.hpp"
+#include "../omp_split.hpp"
 
 namespace finbench::kernels::bs {
 
@@ -167,18 +167,7 @@ bool price_soa_range_q(const core::BsSoaView& batch, std::ptrdiff_t begin, std::
 
 bool price_soa(const core::BsSoaView& batch, std::ptrdiff_t begin, std::ptrdiff_t end,
                Width w) {
-  switch (w) {
-    case Width::kScalar: return price_soa_range_q<1>(batch, begin, end);
-    case Width::kAvx2: return price_soa_range_q<4>(batch, begin, end);
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: return price_soa_range_q<8>(batch, begin, end);
-#else
-    case Width::kAvx512:
-    case Width::kAuto: return price_soa_range_q<4>(batch, begin, end);
-#endif
-  }
-  return false;
+  return vecmath::with_width(w, [&]<int W>() { return price_soa_range_q<W>(batch, begin, end); });
 }
 
 }  // namespace
@@ -347,17 +336,7 @@ void greeks_width(const core::BsSoaCView& batch, GreeksBatchSoa& out) {
 
 void greeks_intermediate(core::BsSoaCView batch, GreeksBatchSoa& out, Width w) {
   out.resize(batch.size());
-  switch (w) {
-    case Width::kScalar: greeks_width<1>(batch, out); return;
-    case Width::kAvx2: greeks_width<4>(batch, out); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: greeks_width<8>(batch, out); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: greeks_width<4>(batch, out); return;
-#endif
-  }
+  vecmath::with_width(w, [&]<int W>() { greeks_width<W>(batch, out); });
 }
 
 // --- Batch implied volatility ---------------------------------------------------
@@ -434,17 +413,7 @@ void implied_vol_intermediate(core::BsSoaCView batch,
                               std::span<const double> call_prices, std::span<double> vols_out,
                               Width w) {
   assert(call_prices.size() >= batch.size() && vols_out.size() >= batch.size());
-  switch (w) {
-    case Width::kScalar: implied_vol_width<1>(batch, call_prices, vols_out); return;
-    case Width::kAvx2: implied_vol_width<4>(batch, call_prices, vols_out); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: implied_vol_width<8>(batch, call_prices, vols_out); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: implied_vol_width<4>(batch, call_prices, vols_out); return;
-#endif
-  }
+  vecmath::with_width(w, [&]<int W>() { implied_vol_width<W>(batch, call_prices, vols_out); });
 }
 
 // --- Single precision ---------------------------------------------------------
@@ -509,18 +478,7 @@ bool price_sp_range(const core::BsSoaFView& batch, std::ptrdiff_t begin, std::pt
 
 bool price_sp(const core::BsSoaFView& batch, std::ptrdiff_t begin, std::ptrdiff_t end,
               WidthF w) {
-  switch (w) {
-    case WidthF::kScalar: return price_sp_range<1>(batch, begin, end);
-    case WidthF::kAvx2: return price_sp_range<8>(batch, begin, end);
-#if defined(FINBENCH_HAVE_AVX512)
-    case WidthF::kAvx512:
-    case WidthF::kAuto: return price_sp_range<16>(batch, begin, end);
-#else
-    case WidthF::kAvx512:
-    case WidthF::kAuto: return price_sp_range<8>(batch, begin, end);
-#endif
-  }
-  return false;
+  return vecmath::with_width(w, [&]<int W>() { return price_sp_range<W>(batch, begin, end); });
 }
 
 }  // namespace

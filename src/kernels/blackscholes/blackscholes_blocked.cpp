@@ -19,8 +19,10 @@
 // full-width tiles are always safe; padded lanes are computed redundantly
 // and ignored by every reader.
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <numeric>
 
 #include <immintrin.h>
 
@@ -29,7 +31,7 @@
 #include "finbench/obs/metrics.hpp"
 #include "finbench/vecmath/vecmath.hpp"
 #include "finbench/vecmath/vecmathf.hpp"
-#include "omp_split.hpp"
+#include "../omp_split.hpp"
 
 namespace finbench::kernels::bs {
 
@@ -41,7 +43,7 @@ namespace {
 template <int W>
 struct DpConsts {
   using V = simd::Vec<double, W>;
-  V r, q, sig, sig22, half, one, inv_sqrt2;
+  V r, q, sig, sig22, half, one, zero, inv_sqrt2;
   DpConsts(double rate, double vol, double dividend)
       : r(rate),
         q(dividend),
@@ -49,6 +51,7 @@ struct DpConsts {
         sig22(vol * vol / 2),
         half(0.5),
         one(1.0),
+        zero(0.0),
         inv_sqrt2(0.70710678118654752440) {}
 };
 
@@ -56,9 +59,10 @@ struct DpConsts {
 // 4 fs (fs = the lane-block width). Stream=true writes outputs with
 // non-temporal stores (the in-memory blocked batch is written once and
 // never read back); the fused AOS path sets Stream=false because its tile
-// buffer lives on the stack and is read back immediately.
+// buffer lives on the stack and is read back immediately. Returns the
+// output probe c*0 + p*0: NaN in every lane whose call or put is not finite.
 template <int W, bool HasDividend, bool Stream>
-inline void dp_tile(const DpConsts<W>& k, double* base, std::size_t fs) {
+inline simd::Vec<double, W> dp_tile(const DpConsts<W>& k, double* base, std::size_t fs) {
   using V = simd::Vec<double, W>;
   const V S = V::load(base);
   const V K = V::load(base + fs);
@@ -85,20 +89,25 @@ inline void dp_tile(const DpConsts<W>& k, double* base, std::size_t fs) {
     c.store(base + 3 * fs);
     put.store(base + 4 * fs);
   }
+  return c * k.zero + put * k.zero;
 }
 
+// Lane-blocks [b0, b1) of the batch, each priced whole (the padded lanes
+// of the last block too). Returns whether every output is finite, from a
+// probe accumulated in registers.
 template <int W, bool HasDividend>
-void price_blocked_width(const core::BsBlockedView& batch) {
+bool price_blocked_range(const core::BsBlockedView& batch, std::size_t b0, std::size_t b1) {
+  using V = simd::Vec<double, W>;
   const DpConsts<W> k(batch.rate, batch.vol, batch.dividend);
-
-  const std::ptrdiff_t nblocks = static_cast<std::ptrdiff_t>(batch.num_blocks());
   const std::size_t bw = static_cast<std::size_t>(batch.block);
+  const std::size_t stride = 5 * bw;
   double* const data = batch.data.data();
 
   // When a tile covers a whole block, fs is the compile-time W and every
   // address is base + constant — the same addressing the SOA kernel enjoys.
+  V probe(0.0);
   auto tile = [&](double* base, std::size_t fs) {
-    dp_tile<W, HasDividend, /*Stream=*/true>(k, base, fs);
+    probe = probe + dp_tile<W, HasDividend, /*Stream=*/true>(k, base, fs);
   };
 
   // x2 unroll: when a tile covers a whole block, pair adjacent blocks;
@@ -106,44 +115,60 @@ void price_blocked_width(const core::BsBlockedView& batch) {
   // independent transcendental chains are in flight and the indexing is
   // pure pointer increments (no per-tile division).
   if (static_cast<std::size_t>(W) == bw) {
-    const std::size_t stride = 5 * static_cast<std::size_t>(W);
-    const std::ptrdiff_t npairs = nblocks / 2;
-#pragma omp parallel for schedule(static)
-    for (std::ptrdiff_t p = 0; p < npairs; ++p) {
-      double* base = data + static_cast<std::size_t>(2 * p) * stride;
-      tile(base, W);
-      tile(base + stride, W);
+    std::size_t b = b0;
+    for (; b + 2 <= b1; b += 2) {
+      tile(data + b * stride, W);
+      tile(data + (b + 1) * stride, W);
     }
-    if (nblocks % 2 != 0) {
-      tile(data + static_cast<std::size_t>(nblocks - 1) * stride, W);
+    if (b < b1) tile(data + b * stride, W);
+  } else {
+    for (std::size_t b = b0; b < b1; ++b) {
+      double* const base = data + b * stride;
+      std::size_t off = 0;
+      for (; off + 2 * W <= bw; off += 2 * W) {
+        tile(base + off, bw);
+        tile(base + off + W, bw);
+      }
+      for (; off < bw; off += W) tile(base + off, bw);
     }
-    return;
   }
-  const std::size_t stride = 5 * bw;
-#pragma omp parallel for schedule(static)
-  for (std::ptrdiff_t b = 0; b < nblocks; ++b) {
-    double* const base = data + static_cast<std::size_t>(b) * stride;
-    std::size_t off = 0;
-    for (; off + 2 * W <= bw; off += 2 * W) {
-      tile(base + off, bw);
-      tile(base + off + W, bw);
-    }
-    for (; off < bw; off += W) tile(base + off, bw);
-  }
+  _mm_sfence();  // streamed outputs visible before the caller reads them
+  return std::isfinite(simd::hsum(probe));
 }
 
 template <int W>
-void price_blocked_dispatch(const core::BsBlockedView& batch) {
+bool price_blocked_dispatch(const core::BsBlockedView& batch, std::size_t b0, std::size_t b1) {
   // A register tile must cover whole lanes of a block; an exotic block
   // size that W does not divide falls back to the scalar tiling, which
   // divides everything.
   if (batch.block % W != 0) {
-    if (batch.dividend != 0.0) price_blocked_width<1, true>(batch);
-    else price_blocked_width<1, false>(batch);
-    return;
+    if (batch.dividend != 0.0) return price_blocked_range<1, true>(batch, b0, b1);
+    return price_blocked_range<1, false>(batch, b0, b1);
   }
-  if (batch.dividend != 0.0) price_blocked_width<W, true>(batch);
-  else price_blocked_width<W, false>(batch);
+  if (batch.dividend != 0.0) return price_blocked_range<W, true>(batch, b0, b1);
+  return price_blocked_range<W, false>(batch, b0, b1);
+}
+
+// The lane-blocks holding options [begin, end).
+std::size_t first_block(const core::BsBlockedView& batch, std::size_t begin) {
+  return begin / static_cast<std::size_t>(batch.block);
+}
+std::size_t end_block(const core::BsBlockedView& batch, std::size_t end) {
+  const std::size_t bw = static_cast<std::size_t>(batch.block);
+  return (end + bw - 1) / bw;
+}
+
+// The exhibit entries' split: interior boundaries on a multiple of 16 and
+// of the block width, so every range starts on a block that every other
+// split also starts a tile pair on.
+template <class Body>
+void omp_split_blocks(const core::BsBlockedView& batch, Body body) {
+  omp_split(static_cast<std::ptrdiff_t>(batch.size()),
+            [&](std::ptrdiff_t b, std::ptrdiff_t e) {
+              body(first_block(batch, static_cast<std::size_t>(b)),
+                   end_block(batch, static_cast<std::size_t>(e)));
+            },
+            std::lcm(kRangeAlign, static_cast<std::ptrdiff_t>(batch.block)));
 }
 
 // --- Fused AOS -> blocked -> AOS pipeline ----------------------------------
@@ -299,15 +324,28 @@ inline SpOut<VF> sp_tile(VF S, VF K, VF T, float rate, float vol, float div) {
   return {c, c - sq + xexp};
 }
 
+// Whether every lane of an SP probe is finite.
+template <class VF>
+bool probe_finite(VF probe) {
+  float lanes[VF::width];
+  probe.storeu(lanes);
+  float sum = 0.0f;
+  for (float x : lanes) sum += x;
+  return std::isfinite(sum);
+}
+
 // Fallback for block sizes the 8-lane converters cannot tile: scalar SP
 // per lane (still the SP model, so tolerances match the vector paths).
-void price_blocked_sp_scalar(const core::BsBlockedView& batch) {
+bool price_blocked_sp_scalar(const core::BsBlockedView& batch, std::size_t b0,
+                             std::size_t b1) {
   using V1 = simd::Vec<float, 1>;
   const float rate = static_cast<float>(batch.rate);
   const float vol = static_cast<float>(batch.vol);
   const float div = static_cast<float>(batch.dividend);
   const std::size_t b = static_cast<std::size_t>(batch.block);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
+  const std::size_t end = std::min(batch.size(), b1 * b);
+  float probe = 0.0f;
+  for (std::size_t i = b0 * b; i < end; ++i) {
     const std::size_t blk = i / b;
     const std::size_t ln = i % b;
     const V1 s(static_cast<float>(batch.field(blk, 0)[ln]));
@@ -316,18 +354,20 @@ void price_blocked_sp_scalar(const core::BsBlockedView& batch) {
     const SpOut<V1> o = sp_tile(s, k, t, rate, vol, div);
     batch.field(blk, 3)[ln] = static_cast<double>(o.call.v);
     batch.field(blk, 4)[ln] = static_cast<double>(o.put.v);
+    probe += o.call.v * 0.0f + o.put.v * 0.0f;
   }
+  return std::isfinite(probe);
 }
 
 // 8 SP lanes per tile: one 8-lane sub-run of a block per register tile.
-void price_blocked_sp8(const core::BsBlockedView& batch) {
+bool price_blocked_sp8(const core::BsBlockedView& batch, std::size_t b0, std::size_t b1) {
   using VF = simd::Vec<float, 8>;
   const float rate = static_cast<float>(batch.rate);
   const float vol = static_cast<float>(batch.vol);
   const float div = static_cast<float>(batch.dividend);
-
-  const std::ptrdiff_t nblocks = static_cast<std::ptrdiff_t>(batch.num_blocks());
   const std::size_t bw = static_cast<std::size_t>(batch.block);
+  const VF zero(0.0f);
+  VF probe(0.0f);
 
   auto tile = [&](std::size_t blk, std::size_t off) {
     const VF S = load_f32_8(batch.field(blk, 0) + off);
@@ -336,42 +376,45 @@ void price_blocked_sp8(const core::BsBlockedView& batch) {
     const SpOut<VF> o = sp_tile(S, K, T, rate, vol, div);
     stream_f64_8(batch.field(blk, 3) + off, o.call);
     stream_f64_8(batch.field(blk, 4) + off, o.put);
+    probe = probe + (o.call * zero + o.put * zero);
   };
 
   // Same pairing scheme as the DP tiles: adjacent blocks when a tile is a
   // whole block, sub-runs within a block otherwise — increment-only indexing.
   if (bw == 8) {
-    const std::ptrdiff_t npairs = nblocks / 2;
-#pragma omp parallel for schedule(static)
-    for (std::ptrdiff_t p = 0; p < npairs; ++p) {
-      tile(static_cast<std::size_t>(2 * p), 0);
-      tile(static_cast<std::size_t>(2 * p + 1), 0);
+    std::size_t b = b0;
+    for (; b + 2 <= b1; b += 2) {
+      tile(b, 0);
+      tile(b + 1, 0);
     }
-    if (nblocks % 2 != 0) tile(static_cast<std::size_t>(nblocks - 1), 0);
-    return;
-  }
-#pragma omp parallel for schedule(static)
-  for (std::ptrdiff_t b = 0; b < nblocks; ++b) {
-    const std::size_t blk = static_cast<std::size_t>(b);
-    std::size_t off = 0;
-    for (; off + 16 <= bw; off += 16) {
-      tile(blk, off);
-      tile(blk, off + 8);
+    if (b < b1) tile(b, 0);
+  } else {
+    for (std::size_t blk = b0; blk < b1; ++blk) {
+      std::size_t off = 0;
+      for (; off + 16 <= bw; off += 16) {
+        tile(blk, off);
+        tile(blk, off + 8);
+      }
+      for (; off < bw; off += 8) tile(blk, off);
     }
-    for (; off < bw; off += 8) tile(blk, off);
   }
+  _mm_sfence();
+  return probe_finite(probe);
 }
 
 #if defined(FINBENCH_HAVE_AVX512)
 // 16 SP lanes per tile: two 8-lane sub-runs fused per register tile.
-void price_blocked_sp16(const core::BsBlockedView& batch) {
+bool price_blocked_sp16(const core::BsBlockedView& batch, std::size_t b0, std::size_t b1) {
   using VF = simd::Vec<float, 16>;
+  using V8 = simd::Vec<float, 8>;
   const float rate = static_cast<float>(batch.rate);
   const float vol = static_cast<float>(batch.vol);
   const float div = static_cast<float>(batch.dividend);
-
-  const std::ptrdiff_t nblocks = static_cast<std::ptrdiff_t>(batch.num_blocks());
   const std::size_t bw = static_cast<std::size_t>(batch.block);
+  const VF zero(0.0f);
+  const V8 zero8(0.0f);
+  VF probe(0.0f);
+  V8 probe8(0.0f);
 
   // A 16-float tile fuses two 8-double field runs (lo/hi halves).
   auto tile16 = [&](std::size_t blk_lo, std::size_t off_lo, std::size_t blk_hi,
@@ -382,37 +425,52 @@ void price_blocked_sp16(const core::BsBlockedView& batch) {
     const SpOut<VF> o = sp_tile(S, K, T, rate, vol, div);
     stream_f64_16(batch.field(blk_lo, 3) + off_lo, batch.field(blk_hi, 3) + off_hi, o.call);
     stream_f64_16(batch.field(blk_lo, 4) + off_lo, batch.field(blk_hi, 4) + off_hi, o.put);
+    probe = probe + (o.call * zero + o.put * zero);
   };
   auto tile8 = [&](std::size_t blk, std::size_t off) {
-    using V8 = simd::Vec<float, 8>;
     const V8 S = load_f32_8(batch.field(blk, 0) + off);
     const V8 K = load_f32_8(batch.field(blk, 1) + off);
     const V8 T = load_f32_8(batch.field(blk, 2) + off);
     const SpOut<V8> o = sp_tile(S, K, T, rate, vol, div);
     stream_f64_8(batch.field(blk, 3) + off, o.call);
     stream_f64_8(batch.field(blk, 4) + off, o.put);
+    probe8 = probe8 + (o.call * zero8 + o.put * zero8);
   };
 
   if (bw == 8) {
     // A 16-lane tile spans two adjacent blocks; an odd trailing block
     // finishes 8-wide.
-    const std::ptrdiff_t npairs = nblocks / 2;
-#pragma omp parallel for schedule(static)
-    for (std::ptrdiff_t p = 0; p < npairs; ++p) {
-      tile16(static_cast<std::size_t>(2 * p), 0, static_cast<std::size_t>(2 * p + 1), 0);
+    std::size_t b = b0;
+    for (; b + 2 <= b1; b += 2) tile16(b, 0, b + 1, 0);
+    if (b < b1) tile8(b, 0);
+  } else {
+    for (std::size_t blk = b0; blk < b1; ++blk) {
+      std::size_t off = 0;
+      for (; off + 16 <= bw; off += 16) tile16(blk, off, blk, off + 8);
+      for (; off < bw; off += 8) tile8(blk, off);
     }
-    if (nblocks % 2 != 0) tile8(static_cast<std::size_t>(nblocks - 1), 0);
-    return;
   }
-#pragma omp parallel for schedule(static)
-  for (std::ptrdiff_t b = 0; b < nblocks; ++b) {
-    const std::size_t blk = static_cast<std::size_t>(b);
-    std::size_t off = 0;
-    for (; off + 16 <= bw; off += 16) tile16(blk, off, blk, off + 8);
-    for (; off < bw; off += 8) tile8(blk, off);
-  }
+  _mm_sfence();
+  return probe_finite(probe) && probe_finite(probe8);
 }
 #endif
+
+bool price_blocked_sp_blocks(const core::BsBlockedView& batch, std::size_t b0, std::size_t b1,
+                             WidthF w) {
+  if (batch.block % 8 != 0) return price_blocked_sp_scalar(batch, b0, b1);
+  switch (w) {
+    case WidthF::kScalar: return price_blocked_sp_scalar(batch, b0, b1);
+    case WidthF::kAvx2: return price_blocked_sp8(batch, b0, b1);
+#if defined(FINBENCH_HAVE_AVX512)
+    case WidthF::kAvx512:
+    case WidthF::kAuto: return price_blocked_sp16(batch, b0, b1);
+#else
+    case WidthF::kAvx512:
+    case WidthF::kAuto: return price_blocked_sp8(batch, b0, b1);
+#endif
+  }
+  return false;
+}
 
 // --- Fused AOS -> f32 register tile pipeline --------------------------------
 //
@@ -537,33 +595,23 @@ bool price_from_aos_sp(const core::BsAosView& batch, std::size_t begin, std::siz
 void price_blocked(core::BsBlockedView batch, Width w) {
   static obs::Counter& priced = obs::counter("bs.options_priced");
   priced.add(batch.size());
-  switch (w) {
-    case Width::kScalar: price_blocked_dispatch<1>(batch); return;
-    case Width::kAvx2: price_blocked_dispatch<4>(batch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: price_blocked_dispatch<8>(batch); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: price_blocked_dispatch<4>(batch); return;
-#endif
-  }
+  omp_split_blocks(batch, [&](std::size_t b0, std::size_t b1) {
+    vecmath::with_width(w, [&]<int W>() { price_blocked_dispatch<W>(batch, b0, b1); });
+  });
+}
+
+bool price_blocked(core::BsBlockedView batch, std::size_t begin, std::size_t end, Width w) {
+  static obs::Counter& priced = obs::counter("bs.options_priced");
+  priced.add(end - begin);
+  return vecmath::with_width(w, [&]<int W>() {
+    return price_blocked_dispatch<W>(batch, first_block(batch, begin), end_block(batch, end));
+  });
 }
 
 void price_blocked_from_aos(core::BsAosView batch, Width w) {
   static obs::Counter& priced = obs::counter("bs.options_priced");
   priced.add(batch.size());
-  switch (w) {
-    case Width::kScalar: price_from_aos_dispatch<1>(batch); return;
-    case Width::kAvx2: price_from_aos_dispatch<4>(batch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: price_from_aos_dispatch<8>(batch); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: price_from_aos_dispatch<4>(batch); return;
-#endif
-  }
+  vecmath::with_width(w, [&]<int W>() { price_from_aos_dispatch<W>(batch); });
 }
 
 void price_blocked_from_aos_f32(core::BsAosView batch, WidthF w) {
@@ -584,21 +632,16 @@ bool price_blocked_from_aos_f32(core::BsAosView batch, std::size_t begin, std::s
 void price_blocked_sp(core::BsBlockedView batch, WidthF w) {
   static obs::Counter& priced = obs::counter("bs.options_priced");
   priced.add(batch.size());
-  if (batch.block % 8 != 0) {
-    price_blocked_sp_scalar(batch);
-    return;
-  }
-  switch (w) {
-    case WidthF::kScalar: price_blocked_sp_scalar(batch); return;
-    case WidthF::kAvx2: price_blocked_sp8(batch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case WidthF::kAvx512:
-    case WidthF::kAuto: price_blocked_sp16(batch); return;
-#else
-    case WidthF::kAvx512:
-    case WidthF::kAuto: price_blocked_sp8(batch); return;
-#endif
-  }
+  omp_split_blocks(batch, [&](std::size_t b0, std::size_t b1) {
+    price_blocked_sp_blocks(batch, b0, b1, w);
+  });
+}
+
+bool price_blocked_sp(core::BsBlockedView batch, std::size_t begin, std::size_t end,
+                      WidthF w) {
+  static obs::Counter& priced = obs::counter("bs.options_priced");
+  priced.add(end - begin);
+  return price_blocked_sp_blocks(batch, first_block(batch, begin), end_block(batch, end), w);
 }
 
 }  // namespace finbench::kernels::bs

@@ -4,8 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "finbench/arch/parallel.hpp"
-#include "finbench/simd/vec.hpp"
+#include "finbench/core/scratch_pool.hpp"
+#include "finbench/vecmath/vecmath.hpp"
+#include "../omp_split.hpp"
 
 namespace finbench::kernels::brownian {
 
@@ -101,45 +102,51 @@ void build_one(const BridgeSchedule& sched, const double* z, double* scratch, do
   }
 }
 
-}  // namespace
-
-void construct_reference(const BridgeSchedule& sched, std::span<const double> z,
-                         std::size_t nsim, std::span<double> out) {
+// Paths [begin, end), one at a time, through the ping-pong buffers a/b.
+void build_paths(const BridgeSchedule& sched, const double* z, std::size_t nsim, double* out,
+                 std::size_t begin, std::size_t end, double* a, double* b) {
   const std::size_t np = sched.num_points();
   const std::size_t zn = sched.normals_per_path();
-  assert(z.size() >= nsim * zn && out.size() >= nsim * np);
-  arch::AlignedVector<double> a(np), b(np);
-  for (std::size_t s = 0; s < nsim; ++s) {
-    build_one(sched, z.data() + s * zn, a.data(), b.data());
+  for (std::size_t s = begin; s < end; ++s) {
+    build_one(sched, z + s * zn, a, b);
     for (std::size_t c = 0; c < np; ++c) out[c * nsim + s] = a[c];
   }
 }
 
+}  // namespace
+
+void construct_reference(const BridgeSchedule& sched, std::span<const double> z,
+                         std::size_t nsim, std::span<double> out) {
+  construct_reference(sched, z, nsim, out, 0, nsim, nullptr);
+}
+
+void construct_reference(const BridgeSchedule& sched, std::span<const double> z,
+                         std::size_t nsim, std::span<double> out, std::size_t begin,
+                         std::size_t end, core::ScratchPool* scratch) {
+  const std::size_t np = sched.num_points();
+  assert(z.size() >= nsim * sched.normals_per_path() && out.size() >= nsim * np);
+  core::ScratchBuf buf(scratch, 2 * np);
+  build_paths(sched, z.data(), nsim, out.data(), begin, end, buf.data, buf.data + np);
+}
+
 void construct_basic(const BridgeSchedule& sched, std::span<const double> z, std::size_t nsim,
                      std::span<double> out) {
-  const std::size_t np = sched.num_points();
-  const std::size_t zn = sched.normals_per_path();
-  assert(z.size() >= nsim * zn && out.size() >= nsim * np);
-#pragma omp parallel
-  {
-    arch::AlignedVector<double> a(np), b(np);
-#pragma omp for schedule(static)
-    for (std::ptrdiff_t s = 0; s < static_cast<std::ptrdiff_t>(nsim); ++s) {
-      build_one(sched, z.data() + static_cast<std::size_t>(s) * zn, a.data(), b.data());
-      for (std::size_t c = 0; c < np; ++c) out[c * nsim + static_cast<std::size_t>(s)] = a[c];
-    }
-  }
+  omp_split(static_cast<std::ptrdiff_t>(nsim), [&](std::ptrdiff_t b, std::ptrdiff_t e) {
+    construct_reference(sched, z, nsim, out, static_cast<std::size_t>(b),
+                        static_cast<std::size_t>(e), nullptr);
+  });
 }
 
 // --- SIMD across paths -------------------------------------------------------
 
 namespace {
 
-// Build W paths at once. z is lane-blocked for this group; out columns are
-// contiguous (point-major layout), so stores are full-width.
+// Build W paths at once from this group's lane-blocked normals z, through
+// the ping-pong buffers vsrc/vdst; returns the one holding the paths
+// ([point][lane]).
 template <int W>
-void build_group(const BridgeSchedule& sched, const double* z, double* out, std::size_t nsim,
-                 std::size_t group_base, double* vsrc, double* vdst) {
+const double* bridge_group(const BridgeSchedule& sched, const double* z, double* vsrc,
+                           double* vdst) {
   using V = simd::Vec<double, W>;
   const int depth = sched.depth();
   std::size_t zi = 0;
@@ -164,88 +171,60 @@ void build_group(const BridgeSchedule& sched, const double* z, double* out, std:
     }
     std::swap(src, dst);
   }
-  for (std::size_t c = 0; c < sched.num_points(); ++c) {
-    V::load(src + c * W).storeu(out + c * nsim + group_base);
-  }
+  return src;
 }
 
+// Paths [begin, end): full lane groups from `begin`, then the batch's
+// ragged tail (its normals kept per-path layout) when the range holds it.
 template <int W>
 void construct_simd(const BridgeSchedule& sched, std::span<const double> z, std::size_t nsim,
-                    std::span<double> out) {
+                    std::span<double> out, std::size_t begin, std::size_t end,
+                    core::ScratchPool* scratch) {
   const std::size_t np = sched.num_points();
   const std::size_t zn = sched.normals_per_path();
-  const std::size_t groups = nsim / W;
-#pragma omp parallel
-  {
-    arch::AlignedVector<double> a(np * W), b(np * W);
-#pragma omp for schedule(static)
-    for (std::ptrdiff_t g = 0; g < static_cast<std::ptrdiff_t>(groups); ++g) {
-      build_group<W>(sched, z.data() + static_cast<std::size_t>(g) * zn * W, out.data(), nsim,
-                     static_cast<std::size_t>(g) * W, a.data(), b.data());
+  const std::size_t full = nsim / W * W;
+  core::ScratchBuf buf(scratch, 2 * np * W);
+  double* const a = buf.data;
+  double* const b = buf.data + np * W;
+  std::size_t s = begin;
+  for (; s + W <= std::min(end, full); s += W) {
+    // Out columns are contiguous (point-major layout): full-width stores.
+    const double* path = bridge_group<W>(sched, z.data() + s * zn, a, b);
+    for (std::size_t c = 0; c < np; ++c) {
+      simd::Vec<double, W>::load(path + c * W).storeu(out.data() + c * nsim + s);
     }
   }
-  // Tail paths: scalar (their z kept per-path layout).
-  arch::AlignedVector<double> a(np), b(np);
-  for (std::size_t s = groups * W; s < nsim; ++s) {
-    build_one(sched, z.data() + s * zn, a.data(), b.data());
-    for (std::size_t c = 0; c < np; ++c) out[c * nsim + s] = a[c];
-  }
+  build_paths(sched, z.data(), nsim, out.data(), s, end, a, b);
 }
 
-// Interleaved generation: per group of W paths, generate the zn*W normals
-// into a cache-resident buffer and consume immediately. Each group gets an
-// independent Philox stream so the construction is parallel and
-// reproducible regardless of thread count.
+// Interleaved generation over paths [begin, end): per group of W paths,
+// generate the zn*W normals into a cache-resident buffer and consume
+// immediately. Each group gets an independent Philox stream keyed by its
+// index, so the construction is reproducible regardless of the split.
 template <int W, class Consume>
 void run_interleaved(const BridgeSchedule& sched, std::uint64_t seed, std::size_t nsim,
+                     std::size_t begin, std::size_t end, core::ScratchPool* scratch,
                      Consume&& consume) {
   const std::size_t np = sched.num_points();
   const std::size_t zn = sched.normals_per_path();
-  const std::size_t groups = (nsim + W - 1) / W;
-#pragma omp parallel
-  {
-    arch::AlignedVector<double> zbuf(zn * W);
-    arch::AlignedVector<double> a(np * W), b(np * W);
-#pragma omp for schedule(static)
-    for (std::ptrdiff_t g = 0; g < static_cast<std::ptrdiff_t>(groups); ++g) {
-      rng::NormalStream stream(seed, static_cast<std::uint64_t>(g));
-      stream.fill(zbuf);
-      const std::size_t base = static_cast<std::size_t>(g) * W;
-      const std::size_t lanes = std::min<std::size_t>(W, nsim - base);
-      if (lanes == W) {
-        // Full group: vector construction straight from the cache buffer.
-        double* src = a.data();
-        double* dst = b.data();
-        using V = simd::Vec<double, W>;
-        std::size_t zi = 0;
-        V(0.0).store(src);
-        (V::load(zbuf.data()) * V(sched.terminal_sig())).store(src + W);
-        ++zi;
-        for (int d = 0; d < sched.depth(); ++d) {
-          const double* wl = sched.w_l(d);
-          const double* wr = sched.w_r(d);
-          const double* sg = sched.sig(d);
-          V::load(src).store(dst);
-          for (std::size_t c = 0; c < (std::size_t{1} << d); ++c) {
-            const V left = V::load(src + c * W);
-            const V right = V::load(src + (c + 1) * W);
-            const V zv = V::load(zbuf.data() + (zi++) * W);
-            fmadd(left, V(wl[c]), fmadd(right, V(wr[c]), V(sg[c]) * zv))
-                .store(dst + (2 * c + 1) * W);
-            right.store(dst + (2 * c + 2) * W);
-          }
-          std::swap(src, dst);
-        }
-        consume(src, base, W);
-      } else {
-        // Ragged final group: scalar per lane, reading lane-strided normals.
-        for (std::size_t l = 0; l < lanes; ++l) {
-          arch::AlignedVector<double> zs(zn);
-          for (std::size_t i = 0; i < zn; ++i) zs[i] = zbuf[i * W + l];
-          arch::AlignedVector<double> pa(np), pb(np);
-          build_one(sched, zs.data(), pa.data(), pb.data());
-          consume(pa.data(), base + l, 1);
-        }
+  core::ScratchBuf buf(scratch, range_scratch_doubles(sched, W));
+  double* const a = buf.data;
+  double* const b = buf.data + np * W;
+  double* const zbuf = buf.data + 2 * np * W;
+  double* const zs = zbuf + zn * W;
+  for (std::size_t base = begin; base < end; base += W) {
+    rng::NormalStream stream(seed, base / W);
+    stream.fill({zbuf, zn * W});
+    const std::size_t lanes = std::min<std::size_t>(W, nsim - base);
+    if (lanes == W) {
+      // Full group: vector construction straight from the cache buffer.
+      consume(bridge_group<W>(sched, zbuf, a, b), base, W);
+    } else {
+      // Ragged final group: scalar per lane, reading lane-strided normals.
+      for (std::size_t l = 0; l < lanes; ++l) {
+        for (std::size_t i = 0; i < zn; ++i) zs[i] = zbuf[i * W + l];
+        build_one(sched, zs, a, b);
+        consume(a, base + l, 1);
       }
     }
   }
@@ -255,27 +234,29 @@ void run_interleaved(const BridgeSchedule& sched, std::uint64_t seed, std::size_
 
 void construct_intermediate(const BridgeSchedule& sched, std::span<const double> z,
                             std::size_t nsim, std::span<double> out, Width w) {
+  omp_split(static_cast<std::ptrdiff_t>(nsim), [&](std::ptrdiff_t b, std::ptrdiff_t e) {
+    construct_intermediate(sched, z, nsim, out, static_cast<std::size_t>(b),
+                           static_cast<std::size_t>(e), w, nullptr);
+  });
+}
+
+void construct_intermediate(const BridgeSchedule& sched, std::span<const double> z,
+                            std::size_t nsim, std::span<double> out, std::size_t begin,
+                            std::size_t end, Width w, core::ScratchPool* scratch) {
   assert(out.size() >= nsim * sched.num_points());
-  switch (w) {
-    case Width::kScalar: construct_simd<1>(sched, z, nsim, out); return;
-    case Width::kAvx2: construct_simd<4>(sched, z, nsim, out); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: construct_simd<8>(sched, z, nsim, out); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: construct_simd<4>(sched, z, nsim, out); return;
-#endif
-  }
+  vecmath::with_width(w, [&]<int W>() {
+    construct_simd<W>(sched, z, nsim, out, begin, end, scratch);
+  });
 }
 
 namespace {
 
 template <int W>
 void advanced_interleaved_width(const BridgeSchedule& sched, std::uint64_t seed,
-                                std::size_t nsim, std::span<double> out) {
+                                std::size_t nsim, std::span<double> out, std::size_t begin,
+                                std::size_t end, core::ScratchPool* scratch) {
   const std::size_t np = sched.num_points();
-  run_interleaved<W>(sched, seed, nsim,
+  run_interleaved<W>(sched, seed, nsim, begin, end, scratch,
                      [&](const double* path, std::size_t base, std::size_t lanes) {
                        // path is [point][lane] for `lanes` paths.
                        for (std::size_t c = 0; c < np; ++c) {
@@ -288,10 +269,11 @@ void advanced_interleaved_width(const BridgeSchedule& sched, std::uint64_t seed,
 
 template <int W>
 void advanced_fused_width(const BridgeSchedule& sched, std::uint64_t seed, std::size_t nsim,
-                          std::span<double> avg_out) {
+                          std::span<double> avg_out, std::size_t begin, std::size_t end,
+                          core::ScratchPool* scratch) {
   const std::size_t np = sched.num_points();
   const double inv = 1.0 / static_cast<double>(np - 1);
-  run_interleaved<W>(sched, seed, nsim,
+  run_interleaved<W>(sched, seed, nsim, begin, end, scratch,
                      [&](const double* path, std::size_t base, std::size_t lanes) {
                        for (std::size_t l = 0; l < lanes; ++l) {
                          double acc = 0.0;
@@ -305,34 +287,36 @@ void advanced_fused_width(const BridgeSchedule& sched, std::uint64_t seed, std::
 
 void construct_advanced_interleaved(const BridgeSchedule& sched, std::uint64_t seed,
                                     std::size_t nsim, std::span<double> out, Width w) {
+  omp_split(static_cast<std::ptrdiff_t>(nsim), [&](std::ptrdiff_t b, std::ptrdiff_t e) {
+    construct_advanced_interleaved(sched, seed, nsim, out, static_cast<std::size_t>(b),
+                                   static_cast<std::size_t>(e), w, nullptr);
+  });
+}
+
+void construct_advanced_interleaved(const BridgeSchedule& sched, std::uint64_t seed,
+                                    std::size_t nsim, std::span<double> out, std::size_t begin,
+                                    std::size_t end, Width w, core::ScratchPool* scratch) {
   assert(out.size() >= nsim * sched.num_points());
-  switch (w) {
-    case Width::kScalar: advanced_interleaved_width<1>(sched, seed, nsim, out); return;
-    case Width::kAvx2: advanced_interleaved_width<4>(sched, seed, nsim, out); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: advanced_interleaved_width<8>(sched, seed, nsim, out); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: advanced_interleaved_width<4>(sched, seed, nsim, out); return;
-#endif
-  }
+  vecmath::with_width(w, [&]<int W>() {
+    advanced_interleaved_width<W>(sched, seed, nsim, out, begin, end, scratch);
+  });
 }
 
 void construct_advanced_fused(const BridgeSchedule& sched, std::uint64_t seed, std::size_t nsim,
                               std::span<double> path_average_out, Width w) {
+  omp_split(static_cast<std::ptrdiff_t>(nsim), [&](std::ptrdiff_t b, std::ptrdiff_t e) {
+    construct_advanced_fused(sched, seed, nsim, path_average_out, static_cast<std::size_t>(b),
+                             static_cast<std::size_t>(e), w, nullptr);
+  });
+}
+
+void construct_advanced_fused(const BridgeSchedule& sched, std::uint64_t seed, std::size_t nsim,
+                              std::span<double> path_average_out, std::size_t begin,
+                              std::size_t end, Width w, core::ScratchPool* scratch) {
   assert(path_average_out.size() >= nsim);
-  switch (w) {
-    case Width::kScalar: advanced_fused_width<1>(sched, seed, nsim, path_average_out); return;
-    case Width::kAvx2: advanced_fused_width<4>(sched, seed, nsim, path_average_out); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: advanced_fused_width<8>(sched, seed, nsim, path_average_out); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: advanced_fused_width<4>(sched, seed, nsim, path_average_out); return;
-#endif
-  }
+  vecmath::with_width(w, [&]<int W>() {
+    advanced_fused_width<W>(sched, seed, nsim, path_average_out, begin, end, scratch);
+  });
 }
 
 }  // namespace finbench::kernels::brownian

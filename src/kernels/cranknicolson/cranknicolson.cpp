@@ -693,51 +693,29 @@ SolveResult price_wavefront_split_width(const core::OptionSpec& opt, const GridS
 }  // namespace
 
 SolveResult price_wavefront(const core::OptionSpec& opt, const GridSpec& grid, Width w) {
-  switch (w) {
-    case Width::kScalar: return price_reference_blocked(opt, grid, 1);
-    case Width::kAvx2: return price_wavefront_width<4>(opt, grid);
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: return price_wavefront_width<8>(opt, grid);
-#else
-    case Width::kAvx512:
-    case Width::kAuto: return price_wavefront_width<4>(opt, grid);
-#endif
-  }
-  return {};
+  return vecmath::with_width(w, [&]<int W>() {
+    if constexpr (W == 1) return price_reference_blocked(opt, grid, 1);
+    else return price_wavefront_width<W>(opt, grid);
+  });
 }
 
 SolveResult price_wavefront_split(const core::OptionSpec& opt, const GridSpec& grid, Width w) {
-  switch (w) {
-    case Width::kScalar: return price_reference_blocked(opt, grid, 1);
-    case Width::kAvx2: return price_wavefront_split_width<4>(opt, grid);
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: return price_wavefront_split_width<8>(opt, grid);
-#else
-    case Width::kAvx512:
-    case Width::kAuto: return price_wavefront_split_width<4>(opt, grid);
-#endif
-  }
-  return {};
+  return vecmath::with_width(w, [&]<int W>() {
+    if constexpr (W == 1) return price_reference_blocked(opt, grid, 1);
+    else return price_wavefront_split_width<W>(opt, grid);
+  });
 }
 
 std::pair<SolveResult, SolveResult> price_wavefront_split_pair(const core::OptionSpec& a,
                                                                const core::OptionSpec& b,
                                                                const GridSpec& grid, Width w) {
-  switch (w) {
-    case Width::kScalar:
+  return vecmath::with_width(w, [&]<int W>() -> std::pair<SolveResult, SolveResult> {
+    if constexpr (W == 1) {
       return {price_reference_blocked(a, grid, 1), price_reference_blocked(b, grid, 1)};
-    case Width::kAvx2: return price_pair_width<4>(a, b, grid);
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: return price_pair_width<8>(a, b, grid);
-#else
-    case Width::kAvx512:
-    case Width::kAuto: return price_pair_width<4>(a, b, grid);
-#endif
-  }
-  return {};
+    } else {
+      return price_pair_width<W>(a, b, grid);
+    }
+  });
 }
 
 // --- European baseline: Thomas tridiagonal solve -----------------------------

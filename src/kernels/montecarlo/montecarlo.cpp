@@ -148,26 +148,6 @@ void optimized_stream_width(std::span<const core::OptionSpec> opts, std::span<co
   }
 }
 
-// Per-worker normal-chunk storage: lease from the engine's scratch pool
-// when it has room, local aligned allocation otherwise (standalone calls,
-// exhausted pools). kRngChunk lives in the header so engines can size
-// their pools.
-struct ZBuf {
-  core::ScratchPool::Lease lease;
-  arch::AlignedVector<double> local;
-  double* data = nullptr;
-
-  explicit ZBuf(core::ScratchPool* pool) {
-    if (pool != nullptr) lease = pool->claim(kRngChunk);
-    if (lease) {
-      data = lease.data();
-    } else {
-      local.resize(kRngChunk);
-      data = local.data();
-    }
-  }
-};
-
 template <int W>
 void optimized_computed_width(std::span<const core::OptionSpec> opts, std::size_t npath,
                               std::uint64_t seed, std::span<McResult> out,
@@ -176,7 +156,7 @@ void optimized_computed_width(std::span<const core::OptionSpec> opts, std::size_
   const std::ptrdiff_t nopt = static_cast<std::ptrdiff_t>(opts.size());
 #pragma omp parallel
   {
-    ZBuf zb(scratch);
+    core::ScratchBuf zb(scratch, kRngChunk);
     double* const zbuf = zb.data;
 #pragma omp for schedule(dynamic, 1)
     for (std::ptrdiff_t o = 0; o < nopt; ++o) {
@@ -218,33 +198,14 @@ void price_optimized_stream(std::span<const core::OptionSpec> opts, std::span<co
                             std::size_t npath, std::span<McResult> out, Width w) {
   assert(z.size() >= npath && out.size() >= opts.size());
   detail::count_paths(opts.size() * npath);
-  switch (w) {
-    case Width::kScalar: optimized_stream_width<1>(opts, z, npath, out); return;
-    case Width::kAvx2: optimized_stream_width<4>(opts, z, npath, out); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: optimized_stream_width<8>(opts, z, npath, out); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: optimized_stream_width<4>(opts, z, npath, out); return;
-#endif
-  }
+  vecmath::with_width(w, [&]<int W>() { optimized_stream_width<W>(opts, z, npath, out); });
 }
 
 McMoments integrate_stream_partial(const core::OptionSpec& opt, std::span<const double> z,
                                    Width w) {
-  switch (w) {
-    case Width::kScalar: return integrate_moments<1>(opt, z.data(), z.size());
-    case Width::kAvx2: return integrate_moments<4>(opt, z.data(), z.size());
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: return integrate_moments<8>(opt, z.data(), z.size());
-#else
-    case Width::kAvx512:
-    case Width::kAuto: return integrate_moments<4>(opt, z.data(), z.size());
-#endif
-  }
-  return {};
+  return vecmath::with_width(w, [&]<int W>() {
+    return integrate_moments<W>(opt, z.data(), z.size());
+  });
 }
 
 McResult finalize_moments(const core::OptionSpec& opt, const McMoments& m, std::size_t npath) {
@@ -256,7 +217,7 @@ void price_reference_computed(std::span<const core::OptionSpec> opts, std::size_
                               std::uint64_t stream_base, core::ScratchPool* scratch) {
   assert(out.size() >= opts.size());
   detail::count_paths(opts.size() * npath);
-  ZBuf zb(scratch);
+  core::ScratchBuf zb(scratch, kRngChunk);
   double* const zbuf = zb.data;
   for (std::size_t o = 0; o < opts.size(); ++o) {
     const PathParams p = path_params(opts[o]);
@@ -283,25 +244,9 @@ void price_optimized_computed(std::span<const core::OptionSpec> opts, std::size_
                               std::uint64_t stream_base, core::ScratchPool* scratch) {
   assert(out.size() >= opts.size());
   detail::count_paths(opts.size() * npath);
-  switch (w) {
-    case Width::kScalar:
-      optimized_computed_width<1>(opts, npath, seed, out, stream_base, scratch);
-      return;
-    case Width::kAvx2:
-      optimized_computed_width<4>(opts, npath, seed, out, stream_base, scratch);
-      return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto:
-      optimized_computed_width<8>(opts, npath, seed, out, stream_base, scratch);
-      return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto:
-      optimized_computed_width<4>(opts, npath, seed, out, stream_base, scratch);
-      return;
-#endif
-  }
+  vecmath::with_width(w, [&]<int W>() {
+    optimized_computed_width<W>(opts, npath, seed, out, stream_base, scratch);
+  });
 }
 
 // --- Variance reduction ---------------------------------------------------------
@@ -315,7 +260,7 @@ void price_variance_reduced(std::span<const core::OptionSpec> opts, std::size_t 
   const std::ptrdiff_t nopt = static_cast<std::ptrdiff_t>(opts.size());
 #pragma omp parallel
   {
-    ZBuf zb(scratch);
+    core::ScratchBuf zb(scratch, kRngChunk);
     double* const zbuf = zb.data;
 #pragma omp for schedule(dynamic, 1)
     for (std::ptrdiff_t o = 0; o < nopt; ++o) {

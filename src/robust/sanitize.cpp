@@ -167,6 +167,20 @@ bool range_clean(const View& v, std::size_t b, std::size_t e, double floor,
     return scan::all_within(v.spot.data() + b, n, lo, mag) &
            scan::all_within(v.strike.data() + b, n, lo, mag) &
            scan::all_within(v.years.data() + b, n, lo, scan::float_ceil(env.max_years));
+  } else if constexpr (std::is_same_v<View, core::BsBlockedView>) {
+    // Per lane-block, each field is a contiguous run of lanes; a range
+    // edge inside a block clips the runs to its own lanes.
+    const std::size_t bw = static_cast<std::size_t>(v.block);
+    bool ok = true;
+    for (std::size_t i = b; i < e;) {
+      const std::size_t ln = i % bw, n = std::min(bw - ln, e - i);
+      const double* spot = v.field(i / bw, 0) + ln;
+      ok &= scan::all_within(spot, n, floor, env.max_magnitude) &
+            scan::all_within(spot + bw, n, floor, env.max_magnitude) &
+            scan::all_within(spot + 2 * bw, n, floor, env.max_years);
+      i += n;
+    }
+    return ok;
   } else {
     bool ok = true;
     for (std::size_t i = b; i < e; ++i) {

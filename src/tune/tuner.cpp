@@ -226,11 +226,11 @@ RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
   }
 
   // Phase 2 — schedule / chunks_per_thread grid on the winning variant.
-  // Only chunked kSpecs execution consumes these knobs; whole-batch
-  // variants (Black–Scholes, Brownian) keep the seed configuration.
+  // Only kSpecs families race these knobs; Black–Scholes chunks are sized
+  // by bandwidth and ignore them, and the other layouts keep the seed
+  // configuration.
   const engine::VariantInfo* wv = engine::Registry::instance().find(phase1->id);
-  if (wv != nullptr && wv->run_range != nullptr && wv->layout == core::Layout::kSpecs &&
-      req.portfolio.size() >= 2) {
+  if (wv != nullptr && wv->layout == core::Layout::kSpecs && req.portfolio.size() >= 2) {
     std::vector<std::pair<arch::Schedule, int>> grid = {
         {arch::Schedule::kDynamic, 4},
         {arch::Schedule::kDynamic, 8},
@@ -259,7 +259,7 @@ RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
         pick_best(rep.candidates, [](const CandidateResult&) { return true; });
     if (sofar != nullptr) {
       const engine::VariantInfo* tv = engine::Registry::instance().find(sofar->id);
-      if (tv != nullptr && tv->run_range != nullptr) {
+      if (tv != nullptr) {
         rep.candidates.push_back(
             probe(tv, sofar->schedule, sofar->chunks_per_thread, !sofar->tasks));
       }

@@ -24,17 +24,7 @@ void apply_width(std::span<const double> in, std::span<double> out, F&& f) {
 
 template <class F>
 void apply(std::span<const double> in, std::span<double> out, Width w, F&& f) {
-  switch (w) {
-    case Width::kScalar: apply_width<1>(in, out, f); return;
-    case Width::kAvx2: apply_width<4>(in, out, f); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512: apply_width<8>(in, out, f); return;
-    case Width::kAuto: apply_width<8>(in, out, f); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: apply_width<4>(in, out, f); return;
-#endif
-  }
+  with_width(w, [&]<int W>() { apply_width<W>(in, out, f); });
 }
 
 }  // namespace
@@ -91,17 +81,7 @@ void sincos_width(std::span<const double> in, std::span<double> s, std::span<dou
 
 void sincos(std::span<const double> in, std::span<double> sin_out, std::span<double> cos_out,
             Width w) {
-  switch (w) {
-    case Width::kScalar: sincos_width<1>(in, sin_out, cos_out); return;
-    case Width::kAvx2: sincos_width<4>(in, sin_out, cos_out); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: sincos_width<8>(in, sin_out, cos_out); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: sincos_width<4>(in, sin_out, cos_out); return;
-#endif
-  }
+  with_width(w, [&]<int W>() { sincos_width<W>(in, sin_out, cos_out); });
 }
 
 // --- Single precision -----------------------------------------------------
@@ -122,17 +102,7 @@ void apply_width_f(std::span<const float> in, std::span<float> out, F&& f) {
 
 template <class F>
 void apply_f(std::span<const float> in, std::span<float> out, WidthF w, F&& f) {
-  switch (w) {
-    case WidthF::kScalar: apply_width_f<1>(in, out, f); return;
-    case WidthF::kAvx2: apply_width_f<8>(in, out, f); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case WidthF::kAvx512:
-    case WidthF::kAuto: apply_width_f<16>(in, out, f); return;
-#else
-    case WidthF::kAvx512:
-    case WidthF::kAuto: apply_width_f<8>(in, out, f); return;
-#endif
-  }
+  with_width(w, [&]<int W>() { apply_width_f<W>(in, out, f); });
 }
 
 }  // namespace

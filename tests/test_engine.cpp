@@ -75,6 +75,7 @@ TEST(Registry, IdsAreWellFormedAndMetadataIsComplete) {
                              suffix == "16f")))
         << v->id;
     EXPECT_NE(v->run_batch, nullptr) << v->id;
+    EXPECT_NE(v->run_range, nullptr) << v->id;
     EXPECT_FALSE(v->description.empty()) << v->id;
     EXPECT_FALSE(v->exhibit.empty()) << v->id;
     EXPECT_NE(v->flops_per_item, nullptr) << v->id;
@@ -314,18 +315,26 @@ TEST(EngineBsChunks, SoaMatchesDirectKernelBitwiseAcrossChunkEdges) {
   // the pool's treatment.
   engine::ThreadPool one(1);
   Engine eng1(&one);
-  for (const char* id : {"bs.reference.scalar", "bs.basic.auto", "bs.advanced_vml.avx2",
-                         "bs.advanced_vml.auto", "blackscholes.blocked_fused.8f",
-                         "blackscholes.blocked_fused.16f"}) {
+  for (const char* id :
+       {"bs.reference.scalar", "bs.basic.auto", "bs.advanced_vml.avx2", "bs.advanced_vml.auto",
+        "blackscholes.blocked_fused.8f", "blackscholes.blocked_fused.16f",
+        "blackscholes.blocked.4", "blackscholes.blocked.8", "blackscholes.blocked.8f",
+        "blackscholes.blocked.16f", "binomial.blocked.4", "binomial.blocked.8",
+        "binomial.blocked_gather.scalar"}) {
     const engine::VariantInfo* v = Registry::instance().find(id);
     ASSERT_NE(v, nullptr) << id;
     ASSERT_NE(v->run_range, nullptr) << id;
+    // The blocked lattices price a 64-step lattice pair per option, on
+    // books capped at kChunk + 1 options.
+    const bool lattice = v->kernel == "binomial";
     for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{9}, kChunk - 1,
                           kChunk + 1, (std::size_t{1} << 20) + 3}) {
+      if (lattice && n > kChunk + 1) continue;
       core::Portfolio direct = core::Portfolio::bs(n, v->layout, 59);
       PricingRequest req;
       req.kernel_id = id;
       req.portfolio = direct.view();
+      req.steps = 64;
       as_pool_participant([&] {
         PricingResult r;
         v->run_batch(req, direct.view(), r);
@@ -343,6 +352,45 @@ TEST(EngineBsChunks, SoaMatchesDirectKernelBitwiseAcrossChunkEdges) {
           diff += !same_bits(a.call, b.call) || !same_bits(a.put, b.put);
         }
         EXPECT_EQ(diff, 0u) << id << " n=" << n << " pool=" << e->pool_size();
+      }
+    }
+  }
+}
+
+// Brownian rows on the pool (pools of 1 and 4, both schedules, odd path
+// counts that leave a ragged final lane group): every chunked construction
+// lands bitwise where the row's run_batch does under the pool's treatment.
+TEST(Engine, ChunkedPathConstructionMatchesWholeBatch) {
+  engine::ThreadPool pool(4), one(1);
+  Engine eng(&pool), eng1(&one);
+  for (const char* id : {"brownian.reference.scalar", "brownian.basic.scalar",
+                         "brownian.intermediate.avx2", "brownian.intermediate.auto",
+                         "brownian.advanced_interleaved.auto", "brownian.advanced_fused.auto"}) {
+    const engine::VariantInfo* v = Registry::instance().find(id);
+    ASSERT_NE(v, nullptr) << id;
+    for (std::size_t nsim : {std::size_t{1}, std::size_t{7}, std::size_t{1001},
+                             std::size_t{4099}}) {
+      PricingRequest req;
+      req.kernel_id = id;
+      req.portfolio = core::paths_view(nsim);
+      req.bridge_depth = 5;
+      req.chunks_per_thread = 3;
+      PricingResult whole;
+      as_pool_participant([&] { v->run_batch(req, req.portfolio, whole); });
+      ASSERT_TRUE(whole.ok) << id;
+      for (const Engine* e : {&eng1, &eng}) {
+        for (auto sched : {arch::Schedule::kDynamic, arch::Schedule::kStatic}) {
+          req.schedule = sched;
+          const PricingResult res = e->price(req);
+          ASSERT_TRUE(res.ok) << id << " nsim=" << nsim << ": " << res.error;
+          EXPECT_EQ(res.items, nsim);
+          ASSERT_EQ(res.values.size(), whole.values.size()) << id;
+          std::size_t diff = 0;
+          for (std::size_t i = 0; i < whole.values.size(); ++i) {
+            diff += !same_bits(res.values[i], whole.values[i]);
+          }
+          EXPECT_EQ(diff, 0u) << id << " nsim=" << nsim << " pool=" << e->pool_size();
+        }
       }
     }
   }
@@ -617,6 +665,45 @@ TEST(EngineGroup, MembersOnDifferentCurvesFuseAndPriceAsSolo) {
     for (std::size_t i = 0; i < sizes[m]; ++i) {
       diff += !same_bits(books[m].call[i], alone[m].call[i]) ||
               !same_bits(books[m].put[i], alone[m].put[i]);
+    }
+    EXPECT_EQ(diff, 0u) << "member " << m;
+  }
+}
+
+// Each member negotiates through its own Scratch, so an AOS and an SOA
+// request for the same SOA kernel fuse, and each prices bitwise as solo.
+TEST(EngineGroup, MembersInDifferentLayoutsFuseAndPriceAsSolo) {
+  engine::ThreadPool pool(4);
+  Engine eng(&pool);
+  const std::size_t sizes[] = {20001, 1003};
+  core::Portfolio books[] = {core::Portfolio::bs(sizes[0], core::Layout::kBsAos, 89),
+                             core::Portfolio::bs(sizes[1], core::Layout::kBsSoa, 90)};
+  core::Portfolio alone[] = {core::Portfolio::bs(sizes[0], core::Layout::kBsAos, 89),
+                             core::Portfolio::bs(sizes[1], core::Layout::kBsSoa, 90)};
+  std::vector<PricingRequest> reqs(2);
+  std::vector<PricingResult> res(2);
+  std::vector<engine::GroupJob> group;
+  for (std::size_t m = 0; m < 2; ++m) {
+    reqs[m].kernel_id = "bs.intermediate.auto";
+    reqs[m].portfolio = books[m].view();
+    group.push_back({&reqs[m], &res[m]});
+  }
+  ASSERT_TRUE(Engine::fusable(reqs[0], reqs[1]));
+  engine::GroupScratch gs;
+  eng.price_group(group, gs);
+
+  for (std::size_t m = 0; m < 2; ++m) {
+    ASSERT_EQ(res[m].status.code(), StatusCode::kOk) << m << ": " << res[m].status.to_string();
+    EXPECT_EQ(res[m].request_id, res[0].request_id);
+    PricingRequest solo;
+    solo.kernel_id = "bs.intermediate.auto";
+    solo.portfolio = alone[m].view();
+    ASSERT_TRUE(eng.price(solo).ok);
+    std::size_t diff = 0;
+    for (std::size_t i = 0; i < sizes[m]; ++i) {
+      const robust::BsElem a = robust::bs_elem(books[m].view(), i);
+      const robust::BsElem b = robust::bs_elem(alone[m].view(), i);
+      diff += !same_bits(a.call, b.call) || !same_bits(a.put, b.put);
     }
     EXPECT_EQ(diff, 0u) << "member " << m;
   }

@@ -11,7 +11,9 @@
 //     the output writeback,
 //   - chunked Monte Carlo (stream flavor) across a thread pool, both
 //     schedules: chunks write into pre-sized scratch slices and the
-//     dispatch closure fits std::function's small-buffer optimization.
+//     dispatch closure fits std::function's small-buffer optimization,
+//   - blocked (AoSoA) Black–Scholes chunks and Brownian path ranges, whose
+//     path buffers lease from a pool the prepare hook reserves.
 //
 // The counter intercepts ::operator new (plain and aligned) only — the
 // arena and AlignedAllocator route through these on purpose (see
@@ -98,6 +100,44 @@ TEST(EngineAlloc, BsChunkedNativeLayoutIsAllocationFree) {
   });
   ASSERT_TRUE(res.ok) << res.error;
   EXPECT_EQ(allocs, 0u) << "steady-state chunked BS pricing allocated";
+}
+
+TEST(EngineAlloc, BlockedBsChunksAreAllocationFree) {
+  core::Portfolio book = core::Portfolio::bs(3 * 16384 + 5, core::Layout::kBsBlocked, 3);
+  PricingRequest req;
+  req.kernel_id = "blackscholes.blocked.8";
+  req.portfolio = book.view();
+
+  Engine& eng = Engine::shared();
+  PricingResult res;
+  eng.price(req, res);  // warm-up
+  ASSERT_TRUE(res.ok) << res.error;
+
+  const std::size_t allocs = allocations_during([&] {
+    for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
+  });
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(allocs, 0u) << "steady-state blocked BS pricing allocated";
+}
+
+TEST(EngineAlloc, BrownianPathRangesAreAllocationFree) {
+  engine::ThreadPool pool(4);
+  Engine eng(&pool);
+  PricingRequest req;
+  req.kernel_id = "brownian.intermediate.auto";
+  req.portfolio = core::paths_view(4099);  // a ragged final lane group
+  req.bridge_depth = 6;
+
+  PricingResult res;
+  eng.price(req, res);  // warm-up: schedule, normals, path pool
+  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_GT(res.chunk_status.size(), 1u);
+
+  const std::size_t allocs = allocations_during([&] {
+    for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
+  });
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(allocs, 0u) << "steady-state Brownian pricing allocated";
 }
 
 TEST(EngineAlloc, NegotiatedAosToSoaIsAllocationFreeAfterFirstConversion) {

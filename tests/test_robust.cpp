@@ -390,6 +390,9 @@ TEST(EngineRobust, SkipPolicyMasksPoisonedOptionsAndPricesTheRest) {
 
   ASSERT_TRUE(res.ok) << res.error;
   EXPECT_EQ(res.status.code(), StatusCode::kDegraded);
+  EXPECT_EQ(res.status.to_string(),
+            "degraded: 0 clamped, 2 skipped, 0 repaired option(s), 0 fallback chunk(s)");
+  EXPECT_EQ(res.error, res.status.to_string());
   EXPECT_EQ(res.options_skipped, 2u);
   ASSERT_EQ(res.option_faults.size(), 24u);
   EXPECT_TRUE(res.option_faults[3] & robust::kFaultSkipped);
@@ -500,6 +503,38 @@ TEST(EngineRobust, InjectedChunkThrowsFallBackToTheChain) {
   for (std::size_t i = 0; i < res.values.size(); ++i) {
     EXPECT_EQ(res.values[i], want.values[i]) << i;
   }
+}
+
+// A failed Monte Carlo segment re-prices in place, so the fallback draws
+// each option's own Philox substream: every repaired option, in every
+// segment, prices bitwise as the fallback variant prices the book itself.
+TEST(EngineRobust, MonteCarloFallbackKeepsEachOptionsSubstream) {
+  const auto workload = european_workload(4096, 19);
+  PricingRequest req;
+  req.kernel_id = "mc.optimized_computed.auto";  // chain: -> reference_computed
+  req.portfolio = core::view_of(std::span<const core::OptionSpec>(workload));
+  req.npath = 256;
+  req.faults.seed = 1;
+  req.faults.throw_rate = 1.0;  // every segment fails and is repaired
+  const PricingResult res = Engine::shared().price(req);
+  ASSERT_EQ(res.status.code(), StatusCode::kDegraded) << res.status.to_string();
+  ASSERT_GT(res.chunk_status.size(), 1u);
+  EXPECT_EQ(res.chunks_degraded, res.chunk_status.size());
+
+  PricingRequest want_req = req;
+  want_req.kernel_id = "mc.reference_computed.scalar";
+  want_req.faults = {};
+  want_req.scratch.reset();
+  const PricingResult want = Engine::shared().price(want_req);
+  ASSERT_EQ(want.status.code(), StatusCode::kOk) << want.status.to_string();
+  ASSERT_EQ(res.values.size(), want.values.size());
+  ASSERT_EQ(res.std_errors.size(), want.std_errors.size());
+  std::size_t diff = 0;
+  for (std::size_t i = 0; i < want.values.size(); ++i) {
+    diff += std::memcmp(&res.values[i], &want.values[i], sizeof(double)) != 0 ||
+            std::memcmp(&res.std_errors[i], &want.std_errors[i], sizeof(double)) != 0;
+  }
+  EXPECT_EQ(diff, 0u);
 }
 
 TEST(EngineRobust, FallbackDisabledSurfacesTheKernelError) {

@@ -282,7 +282,7 @@ TEST(RobustCorpus, UnknownKernelIdIsNotFound) {
   EXPECT_EQ(res.status.code(), StatusCode::kNotFound);
 }
 
-// Single-option batches exercise the whole-batch path plus every
+// Single-option batches exercise one-option chunks plus every
 // tail-handling branch in the SIMD adapters.
 TEST(RobustCorpus, SingleOptionBatchesPriceEverywhere) {
   for (const VariantInfo* vp : Registry::instance().all()) {
