@@ -11,10 +11,10 @@
 // Claim/release is a lock-free bitmask rather than an omp_get_thread_num()
 // index because the two execution modes see different thread identities:
 // inside a kernel's own `#pragma omp parallel` region thread numbers are
-// dense, but under the engine's chunked scheduler every pool worker pins
-// its OpenMP ICV to one thread and *all* of them report thread 0 while
-// calling kernels concurrently. A bitmask hands out distinct slices either
-// way. Exhaustion (more concurrent workers than slots) is not an error:
+// dense, but the engine's pool participants call the kernels' serial range
+// entries concurrently from outside any OpenMP team, where every one of
+// them reports thread 0. A bitmask hands out distinct slices either way.
+// Exhaustion (more concurrent workers than slots) is not an error:
 // claim() returns an empty lease and the caller falls back to a local
 // allocation, trading the zero-alloc guarantee for correctness.
 

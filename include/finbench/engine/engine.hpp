@@ -46,7 +46,7 @@ class Engine {
   explicit Engine(ThreadPool* pool = nullptr);
 
   // Price one request. Never throws for workload/registry errors — they
-  // come back as result.ok == false with a message; kernel exceptions
+  // come back as !result.status.ok() with a message; kernel exceptions
   // propagate.
   PricingResult price(const PricingRequest& req) const;
 

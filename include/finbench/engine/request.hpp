@@ -147,11 +147,6 @@ constexpr std::string_view to_string(ChunkStatus s) {
 }
 
 struct PricingResult {
-  // Legacy success flag and message, kept in lockstep with `status`:
-  // ok == status.ok() (true for kOk *and* kDegraded) and error ==
-  // status.to_string() when not clean. New code should read `status`.
-  bool ok = false;
-  std::string error;       // empty on success
   std::string kernel_id;
 
   // Concrete variant the request resolved to. Equal to kernel_id for
@@ -160,7 +155,8 @@ struct PricingResult {
   std::string resolved_id;
   bool tuned = false;
 
-  // Structured outcome of the robust pricing path (finbench/robust).
+  // Outcome of the robust pricing path (finbench/robust): status.ok() is
+  // true for kOk *and* kDegraded; status.to_string() carries the message.
   robust::Status status{};
 
   // Process-unique id of this engine execution, stamped into every

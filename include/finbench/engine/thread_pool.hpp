@@ -8,10 +8,8 @@
 // p, p+P, p+2P, ...) is kept for apples-to-apples imbalance comparisons.
 //
 // The calling thread participates as participant 0, so a pool of size P
-// uses P-1 dedicated workers. Workers pin their OpenMP ICV to one thread
-// (and run() temporarily pins the caller's), so kernels with internal
-// "#pragma omp parallel" regions execute their chunk serially instead of
-// oversubscribing the machine with nested teams.
+// uses P-1 dedicated workers. It is the engine path's only threading
+// runtime: the kernel range entries its chunks call open no OpenMP region.
 //
 // Per-participant *CPU* time (not wall time) is recorded through
 // obs::record_parallel_region under "parallel.<site>.*" when
@@ -70,7 +68,7 @@ class ThreadPool {
   // restored before run() returns.
   //
   // A run of a single chunk executes inline on the caller, under the same
-  // FP policy and one-thread OpenMP ICV, without waking the workers —
+  // FP policy, without waking the workers —
   // unless the chunk spawns fork-join tasks, whose first spawn wakes them
   // to help drain the queue until the chunk completes.
   void run(std::ptrdiff_t nchunks, const std::function<void(std::ptrdiff_t)>& fn,

@@ -79,21 +79,36 @@ double price_one_simd(const core::OptionSpec& opt, int steps, std::span<double> 
 
 // Every batch variant leases its per-worker lattice from `scratch` when a
 // pool with room is supplied; a null (or exhausted) pool falls back to a
-// local aligned allocation, preserving standalone use.
+// local aligned allocation, preserving standalone use. The whole-batch
+// entries are the Fig. 5 rows: a static OpenMP split of the options, each
+// thread running the range overload on its share. The range overload
+// prices options [begin, end) of `opts` into out[begin, end) on the
+// calling thread (the engine's chunks), with lane groups from `begin`.
 void price_reference(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
                      core::ScratchPool* scratch = nullptr);
 void price_basic(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
                  core::ScratchPool* scratch = nullptr);
+void price_basic(std::span<const core::OptionSpec> opts, std::size_t begin, std::size_t end,
+                 int steps, std::span<double> out, core::ScratchPool* scratch = nullptr);
 void price_intermediate(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
+                        Width w = Width::kAuto, core::ScratchPool* scratch = nullptr);
+void price_intermediate(std::span<const core::OptionSpec> opts, std::size_t begin,
+                        std::size_t end, int steps, std::span<double> out,
                         Width w = Width::kAuto, core::ScratchPool* scratch = nullptr);
 // Register tiling is European (the tile carries no per-node exercise
 // information); lane groups with an American option take the
 // intermediate reduction instead.
 void price_advanced(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
                     Width w = Width::kAuto, core::ScratchPool* scratch = nullptr);
+void price_advanced(std::span<const core::OptionSpec> opts, std::size_t begin, std::size_t end,
+                    int steps, std::span<double> out, Width w = Width::kAuto,
+                    core::ScratchPool* scratch = nullptr);
 void price_advanced_unrolled(std::span<const core::OptionSpec> opts, int steps,
                              std::span<double> out, Width w = Width::kAuto,
                              core::ScratchPool* scratch = nullptr);
+void price_advanced_unrolled(std::span<const core::OptionSpec> opts, std::size_t begin,
+                             std::size_t end, int steps, std::span<double> out,
+                             Width w = Width::kAuto, core::ScratchPool* scratch = nullptr);
 
 // Ablation entry: register tiling with an explicit tile depth (one of
 // 4, 8, 16, 32, 64; other values throw). The default variants use 16.

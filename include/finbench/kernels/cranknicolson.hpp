@@ -172,7 +172,10 @@ void serial_wave_runner(void* ctx, WaveSweep* sweeps, int nsweeps);
 SolveResult price_wavefront_tasked(const core::OptionSpec& opt, const GridSpec& grid,
                                    int block, WaveRunner runner, void* ctx);
 
-// Batch drivers (OpenMP across options), matching Fig. 8's setup.
+// Batch driver (OpenMP across options), matching Fig. 8's setup. The
+// [begin, end) overload prices those options of `opts` into out[begin,
+// end) on the calling thread, with no OpenMP (the engine's chunks); the
+// paired variant pairs options from `begin`.
 enum class Variant {
   kReference,
   kWavefront,
@@ -181,6 +184,9 @@ enum class Variant {
 };
 void price_batch(std::span<const core::OptionSpec> opts, const GridSpec& grid, Variant v,
                  std::span<double> out, Width w = Width::kAuto);
+void price_batch(std::span<const core::OptionSpec> opts, std::size_t begin, std::size_t end,
+                 const GridSpec& grid, Variant v, std::span<double> out,
+                 Width w = Width::kAuto);
 
 // ~8 flops per PSOR point update + explicit step; used for rooflines.
 inline double flops_per_option_estimate(const GridSpec& g, double avg_iters_per_step) {

@@ -55,13 +55,23 @@ struct McResult {
 // ~10 flops + 1 exp (~20 flops) per path.
 inline constexpr double kFlopsPerPath = 30.0;
 
+// Whole-batch entries split the options over an OpenMP team (the Table II
+// rows), running per option the overload for options [begin, end) of
+// `opts` into out[begin, end) — the engine's chunks, with no OpenMP.
+
 // --- stream-RNG flavor: z.size() >= npath, shared across options ----------
 void price_reference_stream(std::span<const core::OptionSpec> opts, std::span<const double> z,
                             std::size_t npath, std::span<McResult> out);
 void price_basic_stream(std::span<const core::OptionSpec> opts, std::span<const double> z,
                         std::size_t npath, std::span<McResult> out);
+void price_basic_stream(std::span<const core::OptionSpec> opts, std::size_t begin,
+                        std::size_t end, std::span<const double> z, std::size_t npath,
+                        std::span<McResult> out);
 void price_optimized_stream(std::span<const core::OptionSpec> opts, std::span<const double> z,
                             std::size_t npath, std::span<McResult> out, Width w = Width::kAuto);
+void price_optimized_stream(std::span<const core::OptionSpec> opts, std::size_t begin,
+                            std::size_t end, std::span<const double> z, std::size_t npath,
+                            std::span<McResult> out, Width w = Width::kAuto);
 
 // --- Path-block partials: intra-option task parallelism ---------------------
 // Raw payoff moments of one option over the normal block z: v0 = sum of
@@ -81,17 +91,21 @@ McMoments integrate_stream_partial(const core::OptionSpec& opt, std::span<const 
 McResult finalize_moments(const core::OptionSpec& opt, const McMoments& m, std::size_t npath);
 
 // --- computed-RNG flavor: a fresh Philox substream per option --------------
-// Option o draws from NormalStream(seed, stream_base + o), so a caller
-// pricing a sub-range [b, e) of a larger portfolio passes stream_base = b
-// and reproduces the whole-batch numbers exactly (the engine's chunked
-// execution relies on this).
+// Option o of `opts` draws from NormalStream(seed, o), so a range reproduces
+// the whole-batch numbers exactly (the engine's chunked execution relies on
+// this).
 void price_reference_computed(std::span<const core::OptionSpec> opts, std::size_t npath,
                               std::uint64_t seed, std::span<McResult> out,
-                              std::uint64_t stream_base = 0,
                               core::ScratchPool* scratch = nullptr);
+void price_reference_computed(std::span<const core::OptionSpec> opts, std::size_t begin,
+                              std::size_t end, std::size_t npath, std::uint64_t seed,
+                              std::span<McResult> out, core::ScratchPool* scratch = nullptr);
 void price_optimized_computed(std::span<const core::OptionSpec> opts, std::size_t npath,
                               std::uint64_t seed, std::span<McResult> out,
-                              Width w = Width::kAuto, std::uint64_t stream_base = 0,
+                              Width w = Width::kAuto, core::ScratchPool* scratch = nullptr);
+void price_optimized_computed(std::span<const core::OptionSpec> opts, std::size_t begin,
+                              std::size_t end, std::size_t npath, std::uint64_t seed,
+                              std::span<McResult> out, Width w = Width::kAuto,
                               core::ScratchPool* scratch = nullptr);
 
 // --- Variance reduction (extension; Glasserman ch. 4) -----------------------
@@ -103,8 +117,11 @@ void price_optimized_computed(std::span<const core::OptionSpec> opts, std::size_
 void price_variance_reduced(std::span<const core::OptionSpec> opts, std::size_t npath,
                             std::uint64_t seed, std::span<McResult> out,
                             bool antithetic = true, bool control_variate = true,
-                            std::uint64_t stream_base = 0,
                             core::ScratchPool* scratch = nullptr);
+void price_variance_reduced(std::span<const core::OptionSpec> opts, std::size_t begin,
+                            std::size_t end, std::size_t npath, std::uint64_t seed,
+                            std::span<McResult> out, bool antithetic = true,
+                            bool control_variate = true, core::ScratchPool* scratch = nullptr);
 
 // --- Pathwise greeks (extension; Glasserman ch. 7) ---------------------------
 // Unbiased delta and vega estimators from the same terminal draws as the

@@ -179,10 +179,9 @@ void count_status(robust::StatusCode code) {
   counters[static_cast<std::size_t>(code)]->add(1);
 }
 
-// Clear a result for a new execution, keeping its buffers' capacity.
+// Clear a result for a new execution, keeping its buffers' capacity;
+// `values` is sized (or cleared) once the member is known to price.
 void reset_result(PricingResult& res, const PricingRequest& req, std::uint64_t request_id) {
-  res.ok = false;
-  res.error.clear();
   res.status.reset();
   res.kernel_id = req.kernel_id;  // same id on a reused result: no realloc
   res.resolved_id.clear();
@@ -192,7 +191,6 @@ void reset_result(PricingResult& res, const PricingRequest& req, std::uint64_t r
   res.seconds = 0.0;
   res.convert_seconds = 0.0;
   res.convert_bytes = 0;
-  res.values.clear();
   res.std_errors.clear();
   res.option_faults.clear();
   res.chunk_status.clear();
@@ -204,14 +202,17 @@ void reset_result(PricingResult& res, const PricingRequest& req, std::uint64_t r
   res.attempts = 1;
 }
 
-// Mirrors the structured status into the legacy ok/error pair and bumps
-// the status-labeled outcome counter; every member outcome goes through
-// this.
+// Stores a member's outcome and bumps the status-labeled outcome counter;
+// every member outcome goes through this.
 void finish(PricingResult& res, robust::Status status) {
   res.status = std::move(status);
-  res.ok = res.status.ok();
-  if (res.status.code() != robust::StatusCode::kOk) res.error = res.status.to_string();
   count_status(res.status.code());
+}
+
+// A member that concludes before it prices anything holds no outputs.
+void fail_early(PricingResult& res, robust::Status status) {
+  res.values.clear();
+  finish(res, std::move(status));
 }
 
 // A member's Scratch, claimed for this execution. A request copied from
@@ -397,7 +398,7 @@ void Engine::execute(std::span<const GroupJob> group, GroupScratch& gs) const {
     m.repaired.store(0, std::memory_order_relaxed);
     m.error.clear();
     if (v == nullptr) {
-      finish(res, rd.error);
+      fail_early(res, rd.error);
       continue;
     }
     res.resolved_id = v->id;
@@ -405,7 +406,7 @@ void Engine::execute(std::span<const GroupJob> group, GroupScratch& gs) const {
     res.layout = v->layout;
     const std::size_t n = req.portfolio.size();
     if (n == 0) {
-      finish(res, robust::Status::invalid_argument(
+      fail_early(res, robust::Status::invalid_argument(
                       "variant '" + v->id + "' got an empty workload (layout " +
                       std::string(to_string(req.portfolio.layout)) + ")"));
       continue;
@@ -467,7 +468,7 @@ void Engine::execute(std::span<const GroupJob> group, GroupScratch& gs) const {
       if (!san.clean()) {
         if (req.sanitize == robust::SanitizePolicy::kReject) {
           res.option_faults = san.mask;
-          finish(res, robust::Status::invalid_input(
+          fail_early(res, robust::Status::invalid_input(
                           "workload rejected: " + std::to_string(san.faulty) + " of " +
                           std::to_string(n) +
                           " option(s) failed sanitization (see PricingResult::option_faults)"));
@@ -496,7 +497,7 @@ void Engine::execute(std::span<const GroupJob> group, GroupScratch& gs) const {
     m.view = &m.working;
     if (m.working.layout != v->layout) {
       if (!core::convertible(m.working.layout, v->layout)) {
-        finish(res, robust::Status::invalid_argument(
+        fail_early(res, robust::Status::invalid_argument(
                         "variant '" + v->id + "' needs a " + std::string(to_string(v->layout)) +
                         " workload; the request carries " +
                         std::string(to_string(m.working.layout)) + " (not convertible)"));
@@ -655,15 +656,16 @@ void Engine::execute(std::span<const GroupJob> group, GroupScratch& gs) const {
       } catch (const std::exception& e) {
         m.live = false;
         total -= m.n;
-        finish(res, robust::Status::kernel_error("variant '" + v->id + "' prepare failed: " +
-                                                 e.what()));
+        fail_early(res, robust::Status::kernel_error("variant '" + v->id +
+                                                     "' prepare failed: " + e.what()));
         continue;
       }
     }
-    if (!bs) {
-      res.values.assign(v->layout == Layout::kPaths ? s.path_values : m.n, 0.0);
-      if (v->has_std_error) res.std_errors.assign(m.n, 0.0);
-    }
+    // A range or the NaN fill writes every entry, so a buffer of the right
+    // size (a reused result's) is kept as it stands.
+    const std::size_t nv = bs ? 0 : v->layout == Layout::kPaths ? s.path_values : m.n;
+    if (res.values.size() != nv) res.values.assign(nv, 0.0);
+    if (v->has_std_error) res.std_errors.assign(m.n, 0.0);
   }
   if (total == 0) return;
 

@@ -1,7 +1,5 @@
 #include "finbench/engine/thread_pool.hpp"
 
-#include <omp.h>
-
 #include <stdexcept>
 #include <string>
 
@@ -24,6 +22,22 @@ thread_local int t_task_depth = 0;
 // The pool whose single-chunk run executes inline on this thread with its
 // workers still asleep: the chunk's first spawned task wakes them.
 thread_local ThreadPool* t_sleeping_pool = nullptr;
+
+// The pool's treatment of a calling thread for the scope of its
+// participation: the workers' denormal policy (FTZ+DAZ) and a participant
+// id (0, or the outer run's when nested), both restored on exit.
+struct CallerScope {
+  const std::uint32_t fp = robust::save_fp_state();
+  const int participant = t_pool_participant;
+  CallerScope() {
+    robust::install_denormal_ftz();
+    if (participant < 0) t_pool_participant = 0;
+  }
+  ~CallerScope() {
+    t_pool_participant = participant;
+    robust::restore_fp_state(fp);
+  }
+};
 }  // namespace
 
 int ThreadPool::current_participant() { return t_pool_participant; }
@@ -199,11 +213,6 @@ void ThreadPool::participate(int participant) {
 }
 
 void ThreadPool::worker_main(int participant) {
-  // Each pool worker is an OpenMP "initial thread": without this, a kernel
-  // chunk containing "#pragma omp parallel" would spawn a full team per
-  // worker and oversubscribe the machine quadratically. One-thread teams
-  // keep kernel-internal regions serial inside the pool.
-  omp_set_num_threads(1);
   // One denormal policy for every participant: FTZ+DAZ, so a chunk's
   // result (and its latency, on denormal-producing inputs) never depends
   // on which thread claimed it. The caller gets the same policy scoped
@@ -229,26 +238,11 @@ void ThreadPool::run(std::ptrdiff_t nchunks, const std::function<void(std::ptrdi
   if (nchunks <= 0) return;
   if (t_in_pool_run || workers_.empty()) {
     // Nested submission or single-participant pool: inline, serially,
-    // under the pool's denormal policy (restored on exit) and honoring
-    // the cancel token between chunks.
-    const std::uint32_t fp = robust::save_fp_state();
-    robust::install_denormal_ftz();
-    // Nested submission keeps the outer run's participant id; a
-    // single-participant pool executes as participant 0.
-    const int prev_participant = t_pool_participant;
-    if (prev_participant < 0) t_pool_participant = 0;
-    for (std::ptrdiff_t c = 0; c < nchunks; ++c) {
-      if (cancel != nullptr && cancel->expired()) break;
-      try {
-        fn(c);
-      } catch (...) {
-        t_pool_participant = prev_participant;
-        robust::restore_fp_state(fp);
-        throw;
-      }
+    // under the caller scope, honoring the cancel token between chunks.
+    const CallerScope scope;
+    for (std::ptrdiff_t c = 0; c < nchunks && !(cancel != nullptr && cancel->expired()); ++c) {
+      fn(c);
     }
-    t_pool_participant = prev_participant;
-    robust::restore_fp_state(fp);
     return;
   }
 
@@ -277,21 +271,13 @@ void ThreadPool::run(std::ptrdiff_t nchunks, const std::function<void(std::ptrdi
   }
   cv_work_.notify_all();
 
-  // The caller participates too — with its own OpenMP ICV pinned to one
-  // thread and the pool's denormal policy installed for the duration, so
-  // kernel-internal parallel regions stay serial per chunk and the
-  // caller's chunks compute under the same FP state as the workers'
-  // (both restored before returning).
-  const int caller_omp = omp_get_max_threads();
-  const std::uint32_t caller_fp = robust::save_fp_state();
-  omp_set_num_threads(1);
-  robust::install_denormal_ftz();
+  // The caller participates too, under the caller scope, so its chunks
+  // compute under the same FP state as the workers'.
   {
+    const CallerScope scope;
     FINBENCH_SPAN(site);
     participate(0);
   }
-  robust::restore_fp_state(caller_fp);
-  omp_set_num_threads(caller_omp);
 
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -339,24 +325,19 @@ void ThreadPool::run_single(const std::function<void(std::ptrdiff_t)>& fn,
   ticket_.store(1, std::memory_order_relaxed);
   completed_.store(0, std::memory_order_relaxed);
 
-  const int caller_omp = omp_get_max_threads();
-  const std::uint32_t caller_fp = robust::save_fp_state();
-  omp_set_num_threads(1);
-  robust::install_denormal_ftz();
-  t_in_pool_run = true;
-  t_pool_participant = 0;
-  t_sleeping_pool = this;
   std::exception_ptr error;
-  try {
-    fn(0);
-  } catch (...) {
-    error = std::current_exception();
+  {
+    const CallerScope scope;
+    t_in_pool_run = true;
+    t_sleeping_pool = this;
+    try {
+      fn(0);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    t_sleeping_pool = nullptr;
+    t_in_pool_run = false;
   }
-  t_sleeping_pool = nullptr;
-  t_in_pool_run = false;
-  t_pool_participant = -1;
-  robust::restore_fp_state(caller_fp);
-  omp_set_num_threads(caller_omp);
 
   completed_.store(1, std::memory_order_release);
   notify_task_waiters();

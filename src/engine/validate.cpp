@@ -1,7 +1,9 @@
 // Registry self-validation. Each variant prices a canonical deterministic
-// workload through its run_batch adapter and through its linked reference;
-// agreement is judged by the variant's registered tolerance. The same
-// facility backs tests/test_engine.cpp and `pricectl --validate`.
+// workload through its run_range adapter — the body the engine's chunks
+// run, here over the whole workload on the calling thread — and so does
+// its linked reference; agreement is judged by the variant's registered
+// tolerance. The same facility backs tests/test_engine.cpp and
+// `pricectl --validate`.
 
 #include "finbench/engine/validate.hpp"
 
@@ -11,6 +13,7 @@
 #include <stdexcept>
 
 #include "finbench/core/workload.hpp"
+#include "finbench/robust/guards.hpp"
 #include "variants.hpp"
 
 namespace finbench::engine {
@@ -68,74 +71,45 @@ std::vector<core::OptionSpec> specs_for(const VariantInfo& v, std::size_t n, boo
   return specs;
 }
 
-Outputs run_bs(const VariantInfo& v, std::size_t n) {
-  PricingRequest req = knobs_for(v);
-  PricingResult res;
-  Outputs out;
-  // One portfolio constructor covers every BS layout — all derive from the
-  // same AOS-ordered generator draw, so a variant and its reference see
-  // bitwise-identical inputs regardless of their native layouts.
-  core::Portfolio pf = core::Portfolio::bs(n, v.layout, kSeed);
-  req.portfolio = pf.view();
-  v.run_batch(req, req.portfolio, res);
-  const core::PortfolioView& view = pf.view();
-  switch (v.layout) {
-    case Layout::kBsAos:
-      for (const auto& o : view.aos.options) {
-        out.values.push_back(o.call);
-        out.values.push_back(o.put);
-      }
-      break;
-    case Layout::kBsSoa:
-      for (std::size_t i = 0; i < view.soa.size(); ++i) {
-        out.values.push_back(view.soa.call[i]);
-        out.values.push_back(view.soa.put[i]);
-      }
-      break;
-    case Layout::kBsSoaF:
-      for (std::size_t i = 0; i < view.sp.size(); ++i) {
-        out.values.push_back(view.sp.call[i]);
-        out.values.push_back(view.sp.put[i]);
-      }
-      break;
-    case Layout::kBsBlocked: {
-      const core::BsBlockedView& b = view.blocked;
-      for (std::size_t i = 0; i < b.size(); ++i) {
-        const std::size_t blk = i / static_cast<std::size_t>(b.block);
-        const std::size_t ln = i % static_cast<std::size_t>(b.block);
-        out.values.push_back(b.field(blk, 3)[ln]);  // call
-        out.values.push_back(b.field(blk, 4)[ln]);  // put
-      }
-      break;
-    }
-    default:
-      throw std::logic_error("run_bs: not a bs layout");
-  }
-  return out;
-}
-
 // Run `v` on the canonical workload for comparison subject `subject` (the
-// non-reference variant, which decides workload restrictions). A positive
-// `steps_per_year` prices a mixed-style book at per-option lattice depths.
+// non-reference variant, which decides workload restrictions): one serial
+// run_range over the whole workload, prepared and sized as the engine
+// prepares a member. A positive `steps_per_year` prices a mixed-style book
+// at per-option lattice depths. Black–Scholes layouts price into the view;
+// their outputs are read back as (call, put) pairs.
 Outputs run_one(const VariantInfo& v, const VariantInfo& subject, std::size_t n,
                 int steps_per_year = 0) {
-  if (v.layout == Layout::kBsAos || v.layout == Layout::kBsSoa || v.layout == Layout::kBsSoaF ||
-      v.layout == Layout::kBsBlocked) {
-    return run_bs(v, n);
-  }
   PricingRequest req = knobs_for(subject);
   req.kernel_id = v.id;
-  PricingResult res;
+  req.steps_per_year = steps_per_year;
+  std::vector<core::OptionSpec> specs;
+  core::Portfolio pf;
   if (v.layout == Layout::kPaths) {
     req.portfolio =
         core::paths_view(subject.statistical ? 8192 : std::max<std::size_t>(n, 256));
-    v.run_batch(req, req.portfolio, res);
-    return {std::move(res.values), std::move(res.std_errors)};
+  } else if (v.layout == Layout::kSpecs) {
+    specs = specs_for(subject, n, steps_per_year > 0);
+    req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
+  } else {
+    // One portfolio constructor covers every BS layout — all derive from
+    // the same AOS-ordered generator draw, so a variant and its reference
+    // see bitwise-identical inputs regardless of their native layouts.
+    pf = core::Portfolio::bs(n, v.layout, kSeed);
+    req.portfolio = pf.view();
   }
-  req.steps_per_year = steps_per_year;
-  const auto specs = specs_for(subject, n, steps_per_year > 0);
-  req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
-  v.run_batch(req, req.portfolio, res);
+  PricingResult res;
+  if (v.prepare) v.prepare(req, req.portfolio);
+  const std::size_t items = req.portfolio.size();
+  const bool bs = robust::is_bs_layout(req.portfolio);
+  const std::size_t outputs = v.layout == Layout::kPaths ? scratch_of(req).path_values : items;
+  if (!bs) res.values.assign(outputs, 0.0);
+  if (v.has_std_error) res.std_errors.assign(items, 0.0);
+  v.run_range(req, req.portfolio, 0, items, res);
+  for (std::size_t i = 0; bs && i < items; ++i) {
+    const robust::BsElem e = robust::bs_elem(req.portfolio, i);
+    res.values.push_back(e.call);
+    res.values.push_back(e.put);
+  }
   return {std::move(res.values), std::move(res.std_errors)};
 }
 

@@ -215,10 +215,10 @@ struct ResolvedDispatch {
 ResolvedDispatch resolve_dispatch(const Engine& eng, const PricingRequest& req);
 
 // Slot count for the kernel scratch pools: covers both execution modes —
-// the kernel's own OpenMP team (arch::num_threads() workers with dense
-// thread ids) and the engine pool's run_range workers (which pin the OMP
-// ICV to 1, so every worker leases concurrently from the same pool). The
-// floor of 16 keeps an externally supplied ThreadPool safe on small hosts.
+// a run_batch exhibit's OpenMP team (arch::num_threads() threads, one
+// lease each) and the engine pool's participants (one lease per range
+// they run). The floor of 16 keeps an externally supplied ThreadPool safe
+// on small hosts.
 int scratch_slots();
 
 void register_blackscholes(Registry& r);

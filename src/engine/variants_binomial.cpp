@@ -20,6 +20,7 @@ namespace {
 
 using core::OptLevel;
 using kernels::binomial::Width;
+namespace bin = kernels::binomial;
 namespace banded = kernels::binomial::banded;
 
 // Effective lattice depth for one option under this request.
@@ -39,18 +40,30 @@ double item_cost(const core::OptionSpec& o, const PricingRequest& req) {
   return s * (s + 1);
 }
 
+// Whole-batch kernels take (opts, steps, out, width, scratch), their range
+// overloads (opts, begin, end, steps, out, width, scratch); wrap the
+// width-less entry points into those shapes.
 using BatchFn = void (*)(std::span<const core::OptionSpec>, int, std::span<double>, Width,
                          core::ScratchPool*);
+using RangeFn = void (*)(std::span<const core::OptionSpec>, std::size_t, std::size_t, int,
+                         std::span<double>, Width, core::ScratchPool*);
 
-// Uniform-depth kernels take (opts, steps, out, width, scratch); wrap the
-// two width-less entry points into that shape.
 void reference_w(std::span<const core::OptionSpec> o, int s, std::span<double> out, Width,
                  core::ScratchPool* scratch) {
   kernels::binomial::price_reference(o, s, out, scratch);
 }
+void reference_w(std::span<const core::OptionSpec> o, std::size_t begin, std::size_t end, int s,
+                 std::span<double> out, Width, core::ScratchPool* scratch) {
+  kernels::binomial::price_reference(o.subspan(begin, end - begin), s,
+                                     out.subspan(begin, end - begin), scratch);
+}
 void basic_w(std::span<const core::OptionSpec> o, int s, std::span<double> out, Width,
              core::ScratchPool* scratch) {
   kernels::binomial::price_basic(o, s, out, scratch);
+}
+void basic_w(std::span<const core::OptionSpec> o, std::size_t begin, std::size_t end, int s,
+             std::span<double> out, Width, core::ScratchPool* scratch) {
+  kernels::binomial::price_basic(o, begin, end, s, out, scratch);
 }
 
 // Deepest lattice any option of this request needs — the scratch pool's
@@ -101,13 +114,8 @@ void tasked_segment_runner(void* ctx_p, const banded::Segment* segs, int nseg) {
     const banded::Segment seg = segs[i];
     group.spawn([seg, scratch] {
       const std::size_t need = banded::work_doubles(seg);
-      core::ScratchPool::Lease lease = scratch->claim(need);
-      if (lease) {
-        banded::reduce_segment(seg, {lease.data(), need});
-      } else {
-        arch::AlignedVector<double> local(need);
-        banded::reduce_segment(seg, {local.data(), need});
-      }
+      core::ScratchBuf work(scratch, need);
+      banded::reduce_segment(seg, {work.data, need});
     });
   }
   banded::reduce_segment(segs[0], ctx->spawner_work);
@@ -119,26 +127,16 @@ void tasked_segment_runner(void* ctx_p, const banded::Segment* segs, int nseg) {
 // spawner's work row: 3*(steps+1) doubles fits the (steps+1)*8 slot.
 double price_one_tasked(const core::OptionSpec& opt, int steps, Scratch& s) {
   const std::size_t lat = static_cast<std::size_t>(steps) + 1;
-  const std::size_t need = 3 * lat;
-  core::ScratchPool::Lease lease = s.lattice_pool.claim(need);
-  arch::AlignedVector<double> local;
-  double* base = nullptr;
-  if (lease) {
-    base = lease.data();
-  } else {
-    local.resize(need);
-    base = local.data();
-  }
-  TaskedSegCtx ctx{s.task_pool, &s.lattice_pool, {base + 2 * lat, lat}};
-  return banded::price_one_banded(opt, steps, {base, 2 * lat}, tasked_segment_runner, &ctx);
+  core::ScratchBuf buf(&s.lattice_pool, 3 * lat);
+  TaskedSegCtx ctx{s.task_pool, &s.lattice_pool, {buf.data + 2 * lat, lat}};
+  return banded::price_one_banded(opt, steps, {buf.data, 2 * lat}, tasked_segment_runner, &ctx);
 }
 
-template <BatchFn K, Width W>
+template <RangeFn K, Width W>
 bool run_range(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
                std::size_t end, PricingResult& res) {
   Scratch& s = scratch_of(req);
   core::ScratchPool* pool = &s.lattice_pool;
-  std::span<double> out{res.values.data() + begin, end - begin};
   if (req.steps_per_year > 0) {
     // Heterogeneous depths: the lattice is priced per option. Every
     // per-option European path computes the reference's unfused node
@@ -153,24 +151,23 @@ bool run_range(const PricingRequest& req, const core::PortfolioView& view, std::
         res.values[o] = price_one_tasked(opt, steps, s);
         continue;
       }
-      K(view.specs.subspan(o, 1), steps, {res.values.data() + o, 1}, W, pool);
+      K(view.specs, o, o + 1, steps, res.values, W, pool);
     }
     return true;
   }
-  K(view.specs.subspan(begin, end - begin), req.steps, out, W, pool);
+  K(view.specs, begin, end, req.steps, res.values, W, pool);
   return true;
 }
 
-template <BatchFn K, Width W>
+template <BatchFn K, RangeFn R, Width W>
 void run_batch(const PricingRequest& req, const core::PortfolioView& view,
                PricingResult& res) {
   reserve_lattice(req, view);
   const std::size_t n = view.specs.size();
   if (res.values.size() != n) res.values.assign(n, 0.0);
   res.items = n;
-  res.ok = true;
   if (req.steps_per_year > 0) {
-    run_range<K, W>(req, view, 0, n, res);
+    run_range<R, W>(req, view, 0, n, res);
     return;
   }
   K(view.specs, req.steps, res.values, W, &scratch_of(req).lattice_pool);
@@ -208,7 +205,6 @@ void run_blocked(const PricingRequest& req, const core::PortfolioView& view,
   kernels::binomial::price_blocked(view.blocked, req.steps, W,
                                    &scratch_of(req).lattice_pool);
   res.items = view.blocked.size();
-  res.ok = true;
 }
 
 // Spec-gather baseline and blocked-layout validation anchor: each lane is
@@ -248,7 +244,6 @@ void run_blocked_gather(const PricingRequest& req, const core::PortfolioView& vi
   reserve_blocked(req, view);
   range_blocked_gather(req, view, 0, view.blocked.size(), res);
   res.items = view.blocked.size();
-  res.ok = true;
 }
 
 VariantInfo base(const char* id, OptLevel level, int width, const char* desc) {
@@ -281,11 +276,12 @@ VariantInfo blocked_base(const char* id, OptLevel level, int width, const char* 
   return v;
 }
 
-template <BatchFn K, Width W>
+// K and R name one kernel's whole-batch entry and its range overload.
+template <BatchFn K, RangeFn R, Width W>
 void wire(VariantInfo& v) {
   v.prepare = reserve_lattice;
-  v.run_batch = run_batch<K, W>;
-  v.run_range = run_range<K, W>;
+  v.run_batch = run_batch<K, R, W>;
+  v.run_range = run_range<R, W>;
 }
 
 }  // namespace
@@ -295,26 +291,26 @@ void register_binomial(Registry& r) {
     VariantInfo v = base("binomial.reference.scalar", OptLevel::kReference, 1,
                          "per-option scalar CRR reduction (Lis. 2)");
     v.reference_id = "";
-    wire<reference_w, Width::kScalar>(v);
+    wire<reference_w, reference_w, Width::kScalar>(v);
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("binomial.basic.auto", OptLevel::kBasic, 0,
                          "inner-loop autovectorization + OpenMP across options");
     v.tolerance = 1e-12;
-    wire<basic_w, Width::kAuto>(v);
+    wire<basic_w, basic_w, Width::kAuto>(v);
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("binomial.intermediate.avx2", OptLevel::kIntermediate, 4,
                          "4-wide SIMD across options, one option per lane");
-    wire<kernels::binomial::price_intermediate, Width::kAvx2>(v);
+    wire<bin::price_intermediate, bin::price_intermediate, Width::kAvx2>(v);
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("binomial.intermediate.auto", OptLevel::kIntermediate, 0,
                          "widest SIMD across options, one option per lane");
-    wire<kernels::binomial::price_intermediate, Width::kAuto>(v);
+    wire<bin::price_intermediate, bin::price_intermediate, Width::kAuto>(v);
     r.add(std::move(v));
   }
   {
@@ -322,21 +318,21 @@ void register_binomial(Registry& r) {
                          "register tiling (Lis. 3), 4-wide");
     // Fallback chain: advanced -> intermediate -> reference.
     v.fallback_id = "binomial.intermediate.avx2";
-    wire<kernels::binomial::price_advanced, Width::kAvx2>(v);
+    wire<bin::price_advanced, bin::price_advanced, Width::kAvx2>(v);
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("binomial.advanced.auto", OptLevel::kAdvanced, 0,
                          "register tiling (Lis. 3), widest");
     v.fallback_id = "binomial.intermediate.auto";
-    wire<kernels::binomial::price_advanced, Width::kAuto>(v);
+    wire<bin::price_advanced, bin::price_advanced, Width::kAuto>(v);
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("binomial.advanced_unrolled.auto", OptLevel::kAdvanced, 0,
                          "register tiling + manual tile-loop unrolling");
     v.fallback_id = "binomial.advanced.auto";  // -> intermediate -> reference
-    wire<kernels::binomial::price_advanced_unrolled, Width::kAuto>(v);
+    wire<bin::price_advanced_unrolled, bin::price_advanced_unrolled, Width::kAuto>(v);
     r.add(std::move(v));
   }
   // --- Blocked (AoSoA) family ----------------------------------------------

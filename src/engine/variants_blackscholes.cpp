@@ -4,11 +4,11 @@
 // into its arrays (PricingResult::values stays empty: the kernel is
 // bandwidth-bound, and copying millions of outputs would distort exactly
 // what Fig. 4 measures). run_batch is the kernels' whole-batch entry, whose
-// internal "#pragma omp parallel" over the batch IS the Fig. 4 experiment.
-// Every row also has run_range, the kernel's range body that run_batch
-// splits across OpenMP threads: the engine prices every row in chunks on
-// its pool, each chunk checking its inputs, pricing, and reporting its
-// output probe.
+// OpenMP split of the batch IS the Fig. 4 experiment. Every row also has
+// run_range, the kernel's range body that run_batch splits across the
+// team, run serially on the calling thread: the engine prices every row in
+// chunks on its pool, each chunk checking its inputs, pricing, and
+// reporting its output probe.
 // A request in the "wrong" BS layout is not an error: the engine
 // negotiates it into the view these adapters receive.
 
@@ -31,7 +31,6 @@ template <void (*K)(core::BsAosView)>
 void run_aos(const PricingRequest&, const core::PortfolioView& view, PricingResult& res) {
   K(view.aos);
   res.items = view.aos.size();
-  res.ok = true;
 }
 
 template <bool (*K)(core::BsAosView, std::size_t, std::size_t)>
@@ -45,7 +44,6 @@ void run_intermediate(const PricingRequest&, const core::PortfolioView& view,
                       PricingResult& res) {
   kernels::bs::price_intermediate(view.soa, W);
   res.items = view.soa.size();
-  res.ok = true;
 }
 
 template <Width W>
@@ -68,7 +66,6 @@ void run_advanced_vml(const PricingRequest& req, const core::PortfolioView& view
   reserve_vml(req, view);
   kernels::bs::price_advanced_vml(view.soa, W, &scratch_of(req).vml_pool);
   res.items = view.soa.size();
-  res.ok = true;
 }
 
 template <Width W>
@@ -81,7 +78,6 @@ void run_intermediate_sp(const PricingRequest&, const core::PortfolioView& view,
                          PricingResult& res) {
   kernels::bs::price_intermediate_sp(view.sp, WidthF::kAuto);
   res.items = view.sp.size();
-  res.ok = true;
 }
 
 bool range_intermediate_sp(const PricingRequest&, const core::PortfolioView& view,
@@ -93,7 +89,6 @@ template <Width W>
 void run_blocked(const PricingRequest&, const core::PortfolioView& view, PricingResult& res) {
   kernels::bs::price_blocked(view.blocked, W);
   res.items = view.blocked.size();
-  res.ok = true;
 }
 
 template <Width W>
@@ -107,7 +102,6 @@ void run_blocked_sp(const PricingRequest&, const core::PortfolioView& view,
                     PricingResult& res) {
   kernels::bs::price_blocked_sp(view.blocked, W);
   res.items = view.blocked.size();
-  res.ok = true;
 }
 
 template <WidthF W>
@@ -120,7 +114,6 @@ template <WidthF W>
 void run_fused_sp(const PricingRequest&, const core::PortfolioView& view, PricingResult& res) {
   kernels::bs::price_blocked_from_aos_f32(view.aos, W);
   res.items = view.aos.size();
-  res.ok = true;
 }
 
 template <WidthF W>

@@ -79,7 +79,6 @@ Scratch& batch_prepared(const PricingRequest& req, const core::PortfolioView& vi
   Scratch& s = *req.scratch;
   if (res.values.size() != s.path_values) res.values.assign(s.path_values, 0.0);
   res.items = view.npaths;
-  res.ok = true;
   return s;
 }
 

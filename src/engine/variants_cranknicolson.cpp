@@ -41,8 +41,7 @@ double item_cost(const core::OptionSpec& o, const PricingRequest&) {
 template <Variant V, Width W>
 bool run_range(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
                std::size_t end, PricingResult& res) {
-  kernels::cn::price_batch(view.specs.subspan(begin, end - begin), grid_of(req), V,
-                           {res.values.data() + begin, end - begin}, W);
+  kernels::cn::price_batch(view.specs, begin, end, grid_of(req), V, res.values, W);
   return true;
 }
 
@@ -52,7 +51,6 @@ void run_batch(const PricingRequest& req, const core::PortfolioView& view,
   const std::size_t n = view.specs.size();
   if (res.values.size() != n) res.values.assign(n, 0.0);
   res.items = n;
-  res.ok = true;
   kernels::cn::price_batch(view.specs, grid_of(req), V, res.values, W);
 }
 
@@ -113,7 +111,6 @@ void run_batch_tasked(const PricingRequest& req, const core::PortfolioView& view
   const std::size_t n = view.specs.size();
   if (res.values.size() != n) res.values.assign(n, 0.0);
   res.items = n;
-  res.ok = true;
   run_range_tasked(req, view, 0, n, res);
 }
 

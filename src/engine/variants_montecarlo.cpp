@@ -3,9 +3,9 @@
 // Stream-flavor variants share one pre-generated normal array across every
 // option (built once into the request's Scratch, so repeated pricings of
 // the same request time only the integration, as Table II does). Computed-
-// flavor variants draw a fresh Philox substream per option; run_range
-// passes stream_base = begin so chunked execution consumes exactly the
-// same substreams as the whole batch.
+// flavor variants draw a fresh Philox substream per option, option o's
+// own in the kernels' whole-batch and range entries alike, so chunked
+// execution consumes exactly the same substreams as the whole batch.
 //
 // Chunked execution writes per-option results into disjoint slices of the
 // Scratch-resident result buffer, pre-sized by the prepare hook — a chunk
@@ -84,25 +84,38 @@ void store(std::span<const McResult> mc, std::size_t begin, PricingResult& res) 
   }
 }
 
+// Whole-batch kernels and their range overloads (montecarlo.hpp); the
+// wrappers give the width-less entry points those shapes.
 using StreamFn = void (*)(std::span<const core::OptionSpec>, std::span<const double>,
                           std::size_t, std::span<McResult>, Width);
+using StreamRangeFn = void (*)(std::span<const core::OptionSpec>, std::size_t, std::size_t,
+                               std::span<const double>, std::size_t, std::span<McResult>, Width);
 
 void reference_stream_w(std::span<const core::OptionSpec> o, std::span<const double> z,
                         std::size_t n, std::span<McResult> out, Width) {
   kernels::mc::price_reference_stream(o, z, n, out);
 }
+void reference_stream_w(std::span<const core::OptionSpec> o, std::size_t begin, std::size_t end,
+                        std::span<const double> z, std::size_t n, std::span<McResult> out,
+                        Width) {
+  kernels::mc::price_reference_stream(o.subspan(begin, end - begin), z, n,
+                                      out.subspan(begin, end - begin));
+}
 void basic_stream_w(std::span<const core::OptionSpec> o, std::span<const double> z,
                     std::size_t n, std::span<McResult> out, Width) {
   kernels::mc::price_basic_stream(o, z, n, out);
 }
+void basic_stream_w(std::span<const core::OptionSpec> o, std::size_t begin, std::size_t end,
+                    std::span<const double> z, std::size_t n, std::span<McResult> out, Width) {
+  kernels::mc::price_basic_stream(o, begin, end, z, n, out);
+}
 
-template <StreamFn K, Width W>
+template <StreamRangeFn K, Width W>
 bool stream_range(const PricingRequest& req, const core::PortfolioView& view,
                   std::size_t begin, std::size_t end, PricingResult& res) {
   Scratch& s = *req.scratch;  // built by prepare_stream
-  std::span<McResult> mc{s.mc.data() + begin, end - begin};
-  K(view.specs.subspan(begin, end - begin), s.z, req.npath, mc, W);
-  store(mc, begin, res);
+  K(view.specs, begin, end, s.z, req.npath, s.mc, W);
+  store({s.mc.data() + begin, end - begin}, begin, res);
   return true;
 }
 
@@ -117,7 +130,6 @@ void stream_batch(const PricingRequest& req, const core::PortfolioView& view,
   if (res.std_errors.size() != n) res.std_errors.assign(n, 0.0);
   store({mc.data(), n}, 0, res);
   res.items = n;
-  res.ok = true;
 }
 
 // --- Path-block tasks (engine/task_group.hpp) --------------------------------
@@ -176,32 +188,38 @@ bool stream_range_tasked(const PricingRequest& req, const core::PortfolioView& v
 }
 
 using ComputedFn = void (*)(std::span<const core::OptionSpec>, std::size_t, std::uint64_t,
-                            std::span<McResult>, Width, std::uint64_t, core::ScratchPool*);
+                            std::span<McResult>, Width, core::ScratchPool*);
+using ComputedRangeFn = void (*)(std::span<const core::OptionSpec>, std::size_t, std::size_t,
+                                 std::size_t, std::uint64_t, std::span<McResult>, Width,
+                                 core::ScratchPool*);
 
 void reference_computed_w(std::span<const core::OptionSpec> o, std::size_t n, std::uint64_t seed,
-                          std::span<McResult> out, Width, std::uint64_t base,
-                          core::ScratchPool* scratch) {
-  kernels::mc::price_reference_computed(o, n, seed, out, base, scratch);
+                          std::span<McResult> out, Width, core::ScratchPool* scratch) {
+  kernels::mc::price_reference_computed(o, n, seed, out, scratch);
 }
-void optimized_computed_w(std::span<const core::OptionSpec> o, std::size_t n, std::uint64_t seed,
-                          std::span<McResult> out, Width w, std::uint64_t base,
-                          core::ScratchPool* scratch) {
-  kernels::mc::price_optimized_computed(o, n, seed, out, w, base, scratch);
+void reference_computed_w(std::span<const core::OptionSpec> o, std::size_t begin,
+                          std::size_t end, std::size_t n, std::uint64_t seed,
+                          std::span<McResult> out, Width, core::ScratchPool* scratch) {
+  kernels::mc::price_reference_computed(o, begin, end, n, seed, out, scratch);
 }
 void variance_reduced_w(std::span<const core::OptionSpec> o, std::size_t n, std::uint64_t seed,
-                        std::span<McResult> out, Width, std::uint64_t base,
-                        core::ScratchPool* scratch) {
+                        std::span<McResult> out, Width, core::ScratchPool* scratch) {
   kernels::mc::price_variance_reduced(o, n, seed, out, /*antithetic=*/true,
-                                      /*control_variate=*/true, base, scratch);
+                                      /*control_variate=*/true, scratch);
+}
+void variance_reduced_w(std::span<const core::OptionSpec> o, std::size_t begin, std::size_t end,
+                        std::size_t n, std::uint64_t seed, std::span<McResult> out, Width,
+                        core::ScratchPool* scratch) {
+  kernels::mc::price_variance_reduced(o, begin, end, n, seed, out, /*antithetic=*/true,
+                                      /*control_variate=*/true, scratch);
 }
 
-template <ComputedFn K, Width W>
+template <ComputedRangeFn K, Width W>
 bool computed_range(const PricingRequest& req, const core::PortfolioView& view,
                     std::size_t begin, std::size_t end, PricingResult& res) {
   Scratch& s = *req.scratch;  // built by prepare_computed
-  std::span<McResult> mc{s.mc.data() + begin, end - begin};
-  K(view.specs.subspan(begin, end - begin), req.npath, req.seed, mc, W, begin, &s.rng_pool);
-  store(mc, begin, res);
+  K(view.specs, begin, end, req.npath, req.seed, s.mc, W, &s.rng_pool);
+  store({s.mc.data() + begin, end - begin}, begin, res);
   return true;
 }
 
@@ -211,13 +229,12 @@ void computed_batch(const PricingRequest& req, const core::PortfolioView& view,
   reserve_rng(req);
   const std::size_t n = view.specs.size();
   std::vector<McResult>& mc = result_buffer(req, n);
-  K(view.specs, req.npath, req.seed, std::span<McResult>{mc.data(), n}, W, 0,
+  K(view.specs, req.npath, req.seed, std::span<McResult>{mc.data(), n}, W,
     &scratch_of(req).rng_pool);
   if (res.values.size() != n) res.values.assign(n, 0.0);
   if (res.std_errors.size() != n) res.std_errors.assign(n, 0.0);
   store({mc.data(), n}, 0, res);
   res.items = n;
-  res.ok = true;
 }
 
 VariantInfo base(const char* id, OptLevel level, int width, const char* desc) {
@@ -295,8 +312,8 @@ void register_montecarlo(Registry& r) {
     v.reference_id = "mc.reference_computed.scalar";
     v.bytes_per_item = bytes_computed;
     v.prepare = prepare_computed;
-    v.run_batch = computed_batch<optimized_computed_w, Width::kAvx2>;
-    v.run_range = computed_range<optimized_computed_w, Width::kAvx2>;
+    v.run_batch = computed_batch<kernels::mc::price_optimized_computed, Width::kAvx2>;
+    v.run_range = computed_range<kernels::mc::price_optimized_computed, Width::kAvx2>;
     r.add(std::move(v));
   }
   {
@@ -305,8 +322,8 @@ void register_montecarlo(Registry& r) {
     v.reference_id = "mc.reference_computed.scalar";
     v.bytes_per_item = bytes_computed;
     v.prepare = prepare_computed;
-    v.run_batch = computed_batch<optimized_computed_w, Width::kAuto>;
-    v.run_range = computed_range<optimized_computed_w, Width::kAuto>;
+    v.run_batch = computed_batch<kernels::mc::price_optimized_computed, Width::kAuto>;
+    v.run_range = computed_range<kernels::mc::price_optimized_computed, Width::kAuto>;
     r.add(std::move(v));
   }
   {

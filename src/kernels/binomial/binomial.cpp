@@ -7,8 +7,8 @@
 #include "finbench/arch/aligned.hpp"
 #include "finbench/core/scratch_pool.hpp"
 #include "finbench/obs/metrics.hpp"
-#include "finbench/obs/trace.hpp"
 #include "finbench/vecmath/vecmath.hpp"
+#include "../omp_split.hpp"
 
 namespace finbench::kernels::binomial {
 
@@ -179,40 +179,41 @@ void price_reference(std::span<const core::OptionSpec> opts, int steps, std::spa
 
 void price_basic(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
                  core::ScratchPool* scratch) {
+  omp_split(static_cast<std::ptrdiff_t>(opts.size()), [&](std::ptrdiff_t b, std::ptrdiff_t e) {
+    price_basic(opts, b, e, steps, out, scratch);
+  }, 1);
+}
+
+void price_basic(std::span<const core::OptionSpec> opts, std::size_t begin, std::size_t end,
+                 int steps, std::span<double> out, core::ScratchPool* scratch) {
   static obs::Counter& priced = obs::counter("binomial.options_priced");
-  priced.add(opts.size());
-  assert(out.size() >= opts.size());
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(opts.size());
-#pragma omp parallel
-  {
-    FINBENCH_SPAN("binomial.thread");
-    core::ScratchBuf buf(scratch, static_cast<std::size_t>(steps) + 1);
-    double* const call = buf.data;
-#pragma omp for schedule(static)
-    for (std::ptrdiff_t o = 0; o < n; ++o) {
-      const core::OptionSpec& opt = opts[o];
-      if (opt.style == core::ExerciseStyle::kAmerican) {
-        // The pragma-only level has no exercise-aware loop of its own.
-        out[o] = price_one_reference(opt, steps, {call, static_cast<std::size_t>(steps) + 1});
-        continue;
-      }
-      const CrrParams p = crr(opt, steps);
-      double s = opt.spot * std::pow(p.down, steps);
-      const double ratio = p.up / p.down;
-      for (int j = 0; j <= steps; ++j) {
-        call[j] = payoff(opt, s);
-        s *= ratio;
-      }
-      const double pu = p.pu_by_df, pd = p.pd_by_df;
-      double* c = call;
-      for (int i = steps; i > 0; --i) {
-        // Inner-loop autovectorization — c[j+1] is the unaligned load the
-        // paper notes; this is all the "basic" level is allowed to do.
-#pragma omp simd
-        for (int j = 0; j <= i - 1; ++j) c[j] = pu * c[j + 1] + pd * c[j];
-      }
-      out[o] = c[0];
+  priced.add(end - begin);
+  assert(out.size() >= end);
+  core::ScratchBuf buf(scratch, static_cast<std::size_t>(steps) + 1);
+  double* const call = buf.data;
+  for (std::size_t o = begin; o < end; ++o) {
+    const core::OptionSpec& opt = opts[o];
+    if (opt.style == core::ExerciseStyle::kAmerican) {
+      // The pragma-only level has no exercise-aware loop of its own.
+      out[o] = price_one_reference(opt, steps, {call, static_cast<std::size_t>(steps) + 1});
+      continue;
     }
+    const CrrParams p = crr(opt, steps);
+    double s = opt.spot * std::pow(p.down, steps);
+    const double ratio = p.up / p.down;
+    for (int j = 0; j <= steps; ++j) {
+      call[j] = payoff(opt, s);
+      s *= ratio;
+    }
+    const double pu = p.pu_by_df, pd = p.pd_by_df;
+    double* c = call;
+    for (int i = steps; i > 0; --i) {
+      // Inner-loop autovectorization — c[j+1] is the unaligned load the
+      // paper notes; this is all the "basic" level is allowed to do.
+#pragma omp simd
+      for (int j = 0; j <= i - 1; ++j) c[j] = pu * c[j + 1] + pd * c[j];
+    }
+    out[o] = c[0];
   }
 }
 
@@ -248,8 +249,10 @@ struct LaneBatch {
   }
 };
 
+// Kept out of line: inlined into the lane-group loop it runs ~15% slower.
 template <int W>
-void reduce_european(double* call, int steps, simd::Vec<double, W> pu, simd::Vec<double, W> pd) {
+[[gnu::noinline]] void reduce_european(double* call, int steps, simd::Vec<double, W> pu,
+                                       simd::Vec<double, W> pd) {
   using V = simd::Vec<double, W>;
   for (int i = steps; i > 0; --i) {
     for (int j = 0; j <= i - 1; ++j) {
@@ -310,52 +313,15 @@ bool any_american(std::span<const core::OptionSpec> opts, std::size_t base) {
   return false;
 }
 
-// Options past the last full lane group: one at a time, still on W lanes.
-template <int W>
-void price_tail(std::span<const core::OptionSpec> opts, std::size_t first, int steps,
-                std::span<double> out, core::ScratchPool* scratch) {
-  if (first == opts.size()) return;
-  core::ScratchBuf tail(scratch, one_simd_doubles(steps));
-  const std::span<double> lattice{tail.data, one_simd_doubles(steps)};
-  for (std::size_t o = first; o < opts.size(); ++o) {
-    out[o] = price_one_simd<W>(opts[o], steps, lattice);
-  }
-}
-
-template <int W>
-void price_simd(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
-                core::ScratchPool* scratch) {
-  using V = simd::Vec<double, W>;
-  const std::size_t n = opts.size();
-  const std::size_t groups = n / W;
-
-#pragma omp parallel
-  {
-    core::ScratchBuf buf(scratch, static_cast<std::size_t>(steps + 1) * W);
-    double* const call = buf.data;
-#pragma omp for schedule(static)
-    for (std::ptrdiff_t g = 0; g < static_cast<std::ptrdiff_t>(groups); ++g) {
-      const std::size_t base = static_cast<std::size_t>(g) * W;
-      LaneBatch<W> lanes;
-      lanes.init_leaves(opts, base, steps, call);
-      if (any_american<W>(opts, base)) {
-        reduce_american<W>(opts, base, call, steps, lanes.pu, lanes.pd);
-      } else {
-        reduce_european<W>(call, steps, lanes.pu, lanes.pd);
-      }
-      V::load(call).storeu(out.data() + base);
-    }
-  }
-  price_tail<W>(opts, groups * W, steps, out, scratch);
-}
-
 // --- Register tiling (Lis. 3) -----------------------------------------------
 
 // One tile pass: reduce the W-wide Call array (length m+1) by TS time
 // steps. The TS-deep Tile lives in registers; each Call value is loaded
-// and stored exactly once per pass.
+// and stored exactly once per pass. Kept out of line: inlined into the
+// lane-group loop, the tile spills and the pass runs ~25% slower.
 template <int W, int TS, bool Unroll>
-void tile_pass(double* call, int m, simd::Vec<double, W> pu, simd::Vec<double, W> pd) {
+[[gnu::noinline]] void tile_pass(double* call, int m, simd::Vec<double, W> pu,
+                                 simd::Vec<double, W> pd) {
   using V = simd::Vec<double, W>;
   V tile[TS];
 
@@ -392,37 +358,60 @@ void tile_pass(double* call, int m, simd::Vec<double, W> pu, simd::Vec<double, W
   }
 }
 
+// Options [begin, end) on the calling thread: full lane groups of W from
+// `begin` through the intermediate reduction (TS = 0) or register tiles of
+// depth TS, on one lattice leased only when a group exists; the options
+// past the last group one at a time, still on W lanes.
 template <int W, int TS, bool Unroll>
-void price_tiled(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
-                 core::ScratchPool* scratch) {
+void price_lanes(std::span<const core::OptionSpec> opts, std::size_t begin, std::size_t end,
+                 int steps, std::span<double> out, core::ScratchPool* scratch) {
   using V = simd::Vec<double, W>;
-  const std::size_t n = opts.size();
-  const std::size_t groups = n / W;
-
-#pragma omp parallel
-  {
+  assert(out.size() >= end);
+  const std::size_t tail = begin + (end - begin) / W * W;
+  if (begin < tail) {
     core::ScratchBuf buf(scratch, static_cast<std::size_t>(steps + 1) * W);
     double* const call = buf.data;
-#pragma omp for schedule(static)
-    for (std::ptrdiff_t g = 0; g < static_cast<std::ptrdiff_t>(groups); ++g) {
-      const std::size_t base = static_cast<std::size_t>(g) * W;
+    for (std::size_t base = begin; base < tail; base += W) {
       LaneBatch<W> lanes;
       lanes.init_leaves(opts, base, steps, call);
       if (any_american<W>(opts, base)) {
         reduce_american<W>(opts, base, call, steps, lanes.pu, lanes.pd);
-        V::load(call).storeu(out.data() + base);
-        continue;
+      } else {
+        int m = steps;
+        if constexpr (TS > 0) {
+          for (; m >= TS; m -= TS) tile_pass<W, TS, Unroll>(call, m, lanes.pu, lanes.pd);
+        }
+        // Remainder (< TS steps): plain in-place reduction.
+        reduce_european<W>(call, m, lanes.pu, lanes.pd);
       }
-
-      int m = steps;
-      for (; m >= TS; m -= TS) tile_pass<W, TS, Unroll>(call, m, lanes.pu, lanes.pd);
-      // Remainder (< TS steps): plain in-place reduction.
-      reduce_european<W>(call, m, lanes.pu, lanes.pd);
-
       V::load(call).storeu(out.data() + base);
     }
   }
-  price_tail<W>(opts, groups * W, steps, out, scratch);
+  if (tail == end) return;
+  core::ScratchBuf one(scratch, one_simd_doubles(steps));
+  for (std::size_t o = tail; o < end; ++o) {
+    out[o] = price_one_simd<W>(opts[o], steps, {one.data, one_simd_doubles(steps)});
+  }
+}
+
+// The Fig. 5 rows: a static split of the lane groups over an OpenMP team,
+// the last range taking the tail.
+template <int TS, bool Unroll = false>
+void split_lanes(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
+                 Width w, core::ScratchPool* scratch) {
+  vecmath::with_width(w, [&]<int W>() {
+    omp_split(static_cast<std::ptrdiff_t>(opts.size()), [&](std::ptrdiff_t b, std::ptrdiff_t e) {
+      price_lanes<W, TS, Unroll>(opts, b, e, steps, out, scratch);
+    }, W);
+  });
+}
+
+template <int TS, bool Unroll = false>
+void range_lanes(std::span<const core::OptionSpec> opts, std::size_t begin, std::size_t end,
+                 int steps, std::span<double> out, Width w, core::ScratchPool* scratch) {
+  vecmath::with_width(w, [&]<int W>() {
+    price_lanes<W, TS, Unroll>(opts, begin, end, steps, out, scratch);
+  });
 }
 
 constexpr int kTileSize = 16;  // fits the zmm/ymm register file with room to spare
@@ -431,48 +420,47 @@ constexpr int kTileSize = 16;  // fits the zmm/ymm register file with room to sp
 
 void price_intermediate(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
                         Width w, core::ScratchPool* scratch) {
-  assert(out.size() >= opts.size());
-  vecmath::with_width(w, [&]<int W>() { price_simd<W>(opts, steps, out, scratch); });
+  split_lanes<0>(opts, steps, out, w, scratch);
+}
+
+void price_intermediate(std::span<const core::OptionSpec> opts, std::size_t begin,
+                        std::size_t end, int steps, std::span<double> out, Width w,
+                        core::ScratchPool* scratch) {
+  range_lanes<0>(opts, begin, end, steps, out, w, scratch);
 }
 
 void price_advanced(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
                     Width w, core::ScratchPool* scratch) {
-  assert(out.size() >= opts.size());
-  vecmath::with_width(w, [&]<int W>() {
-    price_tiled<W, kTileSize, false>(opts, steps, out, scratch);
-  });
+  split_lanes<kTileSize>(opts, steps, out, w, scratch);
 }
 
-namespace {
-
-template <int TS>
-void price_tiled_dispatch(std::span<const core::OptionSpec> opts, int steps,
-                          std::span<double> out, Width w, core::ScratchPool* scratch) {
-  vecmath::with_width(w, [&]<int W>() { price_tiled<W, TS, false>(opts, steps, out, scratch); });
+void price_advanced(std::span<const core::OptionSpec> opts, std::size_t begin, std::size_t end,
+                    int steps, std::span<double> out, Width w, core::ScratchPool* scratch) {
+  range_lanes<kTileSize>(opts, begin, end, steps, out, w, scratch);
 }
-
-}  // namespace
 
 void price_advanced_tile(std::span<const core::OptionSpec> opts, int steps,
                          std::span<double> out, int tile_size, Width w,
                          core::ScratchPool* scratch) {
-  assert(out.size() >= opts.size());
   switch (tile_size) {
-    case 4: price_tiled_dispatch<4>(opts, steps, out, w, scratch); return;
-    case 8: price_tiled_dispatch<8>(opts, steps, out, w, scratch); return;
-    case 16: price_tiled_dispatch<16>(opts, steps, out, w, scratch); return;
-    case 32: price_tiled_dispatch<32>(opts, steps, out, w, scratch); return;
-    case 64: price_tiled_dispatch<64>(opts, steps, out, w, scratch); return;
+    case 4: split_lanes<4>(opts, steps, out, w, scratch); return;
+    case 8: split_lanes<8>(opts, steps, out, w, scratch); return;
+    case 16: split_lanes<16>(opts, steps, out, w, scratch); return;
+    case 32: split_lanes<32>(opts, steps, out, w, scratch); return;
+    case 64: split_lanes<64>(opts, steps, out, w, scratch); return;
     default: throw std::invalid_argument("binomial: tile_size must be 4/8/16/32/64");
   }
 }
 
 void price_advanced_unrolled(std::span<const core::OptionSpec> opts, int steps,
                              std::span<double> out, Width w, core::ScratchPool* scratch) {
-  assert(out.size() >= opts.size());
-  vecmath::with_width(w, [&]<int W>() {
-    price_tiled<W, kTileSize, true>(opts, steps, out, scratch);
-  });
+  split_lanes<kTileSize, true>(opts, steps, out, w, scratch);
+}
+
+void price_advanced_unrolled(std::span<const core::OptionSpec> opts, std::size_t begin,
+                             std::size_t end, int steps, std::span<double> out, Width w,
+                             core::ScratchPool* scratch) {
+  range_lanes<kTileSize, true>(opts, begin, end, steps, out, w, scratch);
 }
 
 }  // namespace finbench::kernels::binomial

@@ -897,25 +897,31 @@ double price_european_theta(const core::OptionSpec& opt, const GridSpec& grid, d
 
 void price_batch(std::span<const core::OptionSpec> opts, const GridSpec& grid, Variant v,
                  std::span<double> out, Width w) {
-  assert(out.size() >= opts.size());
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(opts.size());
-  static obs::Counter& priced = obs::counter("cn.options_priced");
-  priced.add(static_cast<std::uint64_t>(n));
-  if (v == Variant::kWavefrontSplitPaired) {
-    const std::ptrdiff_t pairs = n / 2;
+  // One item per dynamic claim: an option, or a pair for the paired variant.
+  const std::size_t n = opts.size(), stride = v == Variant::kWavefrontSplitPaired ? 2 : 1;
+  const std::ptrdiff_t items = static_cast<std::ptrdiff_t>((n + stride - 1) / stride);
 #pragma omp parallel for schedule(dynamic, 1)
-    for (std::ptrdiff_t i = 0; i < pairs; ++i) {
-      FINBENCH_SPAN("cn.option_pair");
-      const auto [ra, rb] =
-          price_wavefront_split_pair(opts[2 * i], opts[2 * i + 1], grid, w);
-      out[2 * i] = ra.price;
-      out[2 * i + 1] = rb.price;
-    }
-    if (n % 2) out[n - 1] = price_wavefront_split(opts[n - 1], grid, w).price;
-    return;
+  for (std::ptrdiff_t k = 0; k < items; ++k) {
+    const std::size_t i = static_cast<std::size_t>(k) * stride;
+    price_batch(opts, i, std::min(n, i + stride), grid, v, out, w);
   }
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::ptrdiff_t i = 0; i < n; ++i) {
+}
+
+void price_batch(std::span<const core::OptionSpec> opts, std::size_t begin, std::size_t end,
+                 const GridSpec& grid, Variant v, std::span<double> out, Width w) {
+  assert(out.size() >= end);
+  static obs::Counter& priced = obs::counter("cn.options_priced");
+  priced.add(static_cast<std::uint64_t>(end - begin));
+  std::size_t i = begin;
+  if (v == Variant::kWavefrontSplitPaired) {
+    for (; i + 1 < end; i += 2) {
+      FINBENCH_SPAN("cn.option_pair");
+      const auto [ra, rb] = price_wavefront_split_pair(opts[i], opts[i + 1], grid, w);
+      out[i] = ra.price;
+      out[i + 1] = rb.price;
+    }
+  }
+  for (; i < end; ++i) {
     FINBENCH_SPAN("cn.option");
     switch (v) {
       case Variant::kReference: out[i] = price_reference(opts[i], grid).price; break;

@@ -75,11 +75,17 @@ void price_reference_stream(std::span<const core::OptionSpec> opts, std::span<co
 
 void price_basic_stream(std::span<const core::OptionSpec> opts, std::span<const double> z,
                         std::size_t npath, std::span<McResult> out) {
-  assert(z.size() >= npath && out.size() >= opts.size());
   const std::ptrdiff_t nopt = static_cast<std::ptrdiff_t>(opts.size());
-  detail::count_paths(opts.size() * npath);
 #pragma omp parallel for schedule(dynamic, 1)
-  for (std::ptrdiff_t o = 0; o < nopt; ++o) {
+  for (std::ptrdiff_t o = 0; o < nopt; ++o) price_basic_stream(opts, o, o + 1, z, npath, out);
+}
+
+void price_basic_stream(std::span<const core::OptionSpec> opts, std::size_t begin,
+                        std::size_t end, std::span<const double> z, std::size_t npath,
+                        std::span<McResult> out) {
+  assert(z.size() >= npath && out.size() >= end);
+  detail::count_paths((end - begin) * npath);
+  for (std::size_t o = begin; o < end; ++o) {
     FINBENCH_SPAN("mc.option");
     const PathParams p = path_params(opts[o]);
     const double spot = opts[o].spot, strike = opts[o].strike;
@@ -137,34 +143,97 @@ McResult integrate_paths(const core::OptionSpec& opt, const double* z, std::size
   return finalize(path_params(opt), m.v0, m.v1, npath);
 }
 
-template <int W>
-void optimized_stream_width(std::span<const core::OptionSpec> opts, std::span<const double> z,
-                            std::size_t npath, std::span<McResult> out) {
-  const std::ptrdiff_t nopt = static_cast<std::ptrdiff_t>(opts.size());
+}  // namespace
+
+void price_optimized_stream(std::span<const core::OptionSpec> opts, std::span<const double> z,
+                            std::size_t npath, std::span<McResult> out, Width w) {
+  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(opts.size());
 #pragma omp parallel for schedule(dynamic, 1)
-  for (std::ptrdiff_t o = 0; o < nopt; ++o) {
-    FINBENCH_SPAN("mc.option");
-    out[o] = integrate_paths<W>(opts[o], z.data(), npath);
+  for (std::ptrdiff_t o = 0; o < n; ++o) price_optimized_stream(opts, o, o + 1, z, npath, out, w);
+}
+
+void price_optimized_stream(std::span<const core::OptionSpec> opts, std::size_t begin,
+                            std::size_t end, std::span<const double> z, std::size_t npath,
+                            std::span<McResult> out, Width w) {
+  assert(z.size() >= npath && out.size() >= end);
+  detail::count_paths((end - begin) * npath);
+  vecmath::with_width(w, [&]<int W>() {
+    for (std::size_t o = begin; o < end; ++o) {
+      FINBENCH_SPAN("mc.option");
+      out[o] = integrate_paths<W>(opts[o], z.data(), npath);
+    }
+  });
+}
+
+McMoments integrate_stream_partial(const core::OptionSpec& opt, std::span<const double> z,
+                                   Width w) {
+  return vecmath::with_width(w, [&]<int W>() {
+    return integrate_moments<W>(opt, z.data(), z.size());
+  });
+}
+
+McResult finalize_moments(const core::OptionSpec& opt, const McMoments& m, std::size_t npath) {
+  return finalize(path_params(opt), m.v0, m.v1, npath);
+}
+
+void price_reference_computed(std::span<const core::OptionSpec> opts, std::size_t npath,
+                              std::uint64_t seed, std::span<McResult> out,
+                              core::ScratchPool* scratch) {
+  price_reference_computed(opts, 0, opts.size(), npath, seed, out, scratch);
+}
+
+void price_reference_computed(std::span<const core::OptionSpec> opts, std::size_t begin,
+                              std::size_t end, std::size_t npath, std::uint64_t seed,
+                              std::span<McResult> out, core::ScratchPool* scratch) {
+  assert(out.size() >= end);
+  detail::count_paths((end - begin) * npath);
+  core::ScratchBuf zb(scratch, kRngChunk);
+  double* const zbuf = zb.data;
+  for (std::size_t o = begin; o < end; ++o) {
+    const PathParams p = path_params(opts[o]);
+    rng::NormalStream stream(seed, o);
+    double v0 = 0.0, v1 = 0.0;
+    std::size_t done = 0;
+    while (done < npath) {
+      const std::size_t chunk = std::min(kRngChunk, npath - done);
+      stream.fill({zbuf, chunk});
+      for (std::size_t i = 0; i < chunk; ++i) {
+        const double st = opts[o].spot * std::exp(p.v_rt_t * zbuf[i] + p.mu_t);
+        const double res = std::max(0.0, p.sign * (st - opts[o].strike));
+        v0 += res;
+        v1 += res * res;
+      }
+      done += chunk;
+    }
+    out[o] = finalize(p, v0, v1, npath);
   }
 }
 
-template <int W>
-void optimized_computed_width(std::span<const core::OptionSpec> opts, std::size_t npath,
-                              std::uint64_t seed, std::span<McResult> out,
-                              std::uint64_t stream_base, core::ScratchPool* scratch) {
-  using V = simd::Vec<double, W>;
+void price_optimized_computed(std::span<const core::OptionSpec> opts, std::size_t npath,
+                              std::uint64_t seed, std::span<McResult> out, Width w,
+                              core::ScratchPool* scratch) {
   const std::ptrdiff_t nopt = static_cast<std::ptrdiff_t>(opts.size());
-#pragma omp parallel
-  {
+#pragma omp parallel for schedule(dynamic, 1)
+  for (std::ptrdiff_t o = 0; o < nopt; ++o) {
+    price_optimized_computed(opts, o, o + 1, npath, seed, out, w, scratch);
+  }
+}
+
+void price_optimized_computed(std::span<const core::OptionSpec> opts, std::size_t begin,
+                              std::size_t end, std::size_t npath, std::uint64_t seed,
+                              std::span<McResult> out, Width w, core::ScratchPool* scratch) {
+  assert(out.size() >= end);
+  detail::count_paths((end - begin) * npath);
+  vecmath::with_width(w, [&]<int W>() {
+    using V = simd::Vec<double, W>;
     core::ScratchBuf zb(scratch, kRngChunk);
     double* const zbuf = zb.data;
-#pragma omp for schedule(dynamic, 1)
-    for (std::ptrdiff_t o = 0; o < nopt; ++o) {
+    for (std::size_t o = begin; o < end; ++o) {
       FINBENCH_SPAN("mc.option");
       const core::OptionSpec& opt = opts[o];
       const PathParams p = path_params(opt);
       const V spot(opt.spot), strike(opt.strike), vrt(p.v_rt_t), mu(p.mu_t), sign(p.sign);
-      rng::NormalStream stream(seed, stream_base + static_cast<std::uint64_t>(o));
+      rng::NormalStream stream(seed, o);
       V v0v(0.0), v1v(0.0);
       double v0 = 0.0, v1 = 0.0;
       std::size_t done = 0;
@@ -189,63 +258,6 @@ void optimized_computed_width(std::span<const core::OptionSpec> opts, std::size_
       }
       out[o] = finalize(p, v0 + hsum(v0v), v1 + hsum(v1v), npath);
     }
-  }
-}
-
-}  // namespace
-
-void price_optimized_stream(std::span<const core::OptionSpec> opts, std::span<const double> z,
-                            std::size_t npath, std::span<McResult> out, Width w) {
-  assert(z.size() >= npath && out.size() >= opts.size());
-  detail::count_paths(opts.size() * npath);
-  vecmath::with_width(w, [&]<int W>() { optimized_stream_width<W>(opts, z, npath, out); });
-}
-
-McMoments integrate_stream_partial(const core::OptionSpec& opt, std::span<const double> z,
-                                   Width w) {
-  return vecmath::with_width(w, [&]<int W>() {
-    return integrate_moments<W>(opt, z.data(), z.size());
-  });
-}
-
-McResult finalize_moments(const core::OptionSpec& opt, const McMoments& m, std::size_t npath) {
-  return finalize(path_params(opt), m.v0, m.v1, npath);
-}
-
-void price_reference_computed(std::span<const core::OptionSpec> opts, std::size_t npath,
-                              std::uint64_t seed, std::span<McResult> out,
-                              std::uint64_t stream_base, core::ScratchPool* scratch) {
-  assert(out.size() >= opts.size());
-  detail::count_paths(opts.size() * npath);
-  core::ScratchBuf zb(scratch, kRngChunk);
-  double* const zbuf = zb.data;
-  for (std::size_t o = 0; o < opts.size(); ++o) {
-    const PathParams p = path_params(opts[o]);
-    rng::NormalStream stream(seed, stream_base + o);
-    double v0 = 0.0, v1 = 0.0;
-    std::size_t done = 0;
-    while (done < npath) {
-      const std::size_t chunk = std::min(kRngChunk, npath - done);
-      stream.fill({zbuf, chunk});
-      for (std::size_t i = 0; i < chunk; ++i) {
-        const double st = opts[o].spot * std::exp(p.v_rt_t * zbuf[i] + p.mu_t);
-        const double res = std::max(0.0, p.sign * (st - opts[o].strike));
-        v0 += res;
-        v1 += res * res;
-      }
-      done += chunk;
-    }
-    out[o] = finalize(p, v0, v1, npath);
-  }
-}
-
-void price_optimized_computed(std::span<const core::OptionSpec> opts, std::size_t npath,
-                              std::uint64_t seed, std::span<McResult> out, Width w,
-                              std::uint64_t stream_base, core::ScratchPool* scratch) {
-  assert(out.size() >= opts.size());
-  detail::count_paths(opts.size() * npath);
-  vecmath::with_width(w, [&]<int W>() {
-    optimized_computed_width<W>(opts, npath, seed, out, stream_base, scratch);
   });
 }
 
@@ -253,69 +265,75 @@ void price_optimized_computed(std::span<const core::OptionSpec> opts, std::size_
 
 void price_variance_reduced(std::span<const core::OptionSpec> opts, std::size_t npath,
                             std::uint64_t seed, std::span<McResult> out, bool antithetic,
-                            bool control_variate, std::uint64_t stream_base,
-                            core::ScratchPool* scratch) {
-  assert(out.size() >= opts.size());
-  detail::count_paths(opts.size() * npath);
+                            bool control_variate, core::ScratchPool* scratch) {
   const std::ptrdiff_t nopt = static_cast<std::ptrdiff_t>(opts.size());
-#pragma omp parallel
-  {
-    core::ScratchBuf zb(scratch, kRngChunk);
-    double* const zbuf = zb.data;
-#pragma omp for schedule(dynamic, 1)
-    for (std::ptrdiff_t o = 0; o < nopt; ++o) {
-      const core::OptionSpec& opt = opts[o];
-      const PathParams p = path_params(opt);
-      rng::NormalStream stream(seed, stream_base + static_cast<std::uint64_t>(o));
+#pragma omp parallel for schedule(dynamic, 1)
+  for (std::ptrdiff_t o = 0; o < nopt; ++o) {
+    price_variance_reduced(opts, o, o + 1, npath, seed, out, antithetic, control_variate,
+                           scratch);
+  }
+}
 
-      // One observation per draw: the (pair-averaged, when antithetic)
-      // payoff and control. Pair averaging bakes the negative within-pair
-      // covariance into the sample variance, so the reported SE reflects
-      // the true variance reduction.
-      double sp = 0, spp = 0, sc = 0, scc = 0, spc = 0;
-      const std::size_t draws = antithetic ? (npath + 1) / 2 : npath;
-      std::size_t done = 0;
-      while (done < draws) {
-        const std::size_t chunk = std::min(kRngChunk, draws - done);
-        stream.fill({zbuf, chunk});
-        for (std::size_t i = 0; i < chunk; ++i) {
-          const double st_plus = opt.spot * std::exp(p.v_rt_t * zbuf[i] + p.mu_t);
-          double pay = std::max(0.0, p.sign * (st_plus - opt.strike));
-          double ctrl = st_plus;
-          if (antithetic) {
-            const double st_minus = opt.spot * std::exp(-p.v_rt_t * zbuf[i] + p.mu_t);
-            pay = 0.5 * (pay + std::max(0.0, p.sign * (st_minus - opt.strike)));
-            ctrl = 0.5 * (ctrl + st_minus);
-          }
-          sp += pay;
-          spp += pay * pay;
-          sc += ctrl;
-          scc += ctrl * ctrl;
-          spc += pay * ctrl;
+void price_variance_reduced(std::span<const core::OptionSpec> opts, std::size_t begin,
+                            std::size_t end, std::size_t npath, std::uint64_t seed,
+                            std::span<McResult> out, bool antithetic, bool control_variate,
+                            core::ScratchPool* scratch) {
+  assert(out.size() >= end);
+  detail::count_paths((end - begin) * npath);
+  core::ScratchBuf zb(scratch, kRngChunk);
+  double* const zbuf = zb.data;
+  for (std::size_t o = begin; o < end; ++o) {
+    const core::OptionSpec& opt = opts[o];
+    const PathParams p = path_params(opt);
+    rng::NormalStream stream(seed, o);
+
+    // One observation per draw: the (pair-averaged, when antithetic)
+    // payoff and control. Pair averaging bakes the negative within-pair
+    // covariance into the sample variance, so the reported SE reflects
+    // the true variance reduction.
+    double sp = 0, spp = 0, sc = 0, scc = 0, spc = 0;
+    const std::size_t draws = antithetic ? (npath + 1) / 2 : npath;
+    std::size_t done = 0;
+    while (done < draws) {
+      const std::size_t chunk = std::min(kRngChunk, draws - done);
+      stream.fill({zbuf, chunk});
+      for (std::size_t i = 0; i < chunk; ++i) {
+        const double st_plus = opt.spot * std::exp(p.v_rt_t * zbuf[i] + p.mu_t);
+        double pay = std::max(0.0, p.sign * (st_plus - opt.strike));
+        double ctrl = st_plus;
+        if (antithetic) {
+          const double st_minus = opt.spot * std::exp(-p.v_rt_t * zbuf[i] + p.mu_t);
+          pay = 0.5 * (pay + std::max(0.0, p.sign * (st_minus - opt.strike)));
+          ctrl = 0.5 * (ctrl + st_minus);
         }
-        done += chunk;
+        sp += pay;
+        spp += pay * pay;
+        sc += ctrl;
+        scc += ctrl * ctrl;
+        spc += pay * ctrl;
       }
-      const double n = static_cast<double>(draws);
-      const double mean_p = sp / n, mean_c = sc / n;
-      double var_p = std::max(spp / n - mean_p * mean_p, 0.0);
-      double est = mean_p;
-      if (control_variate) {
-        const double var_c = std::max(scc / n - mean_c * mean_c, 0.0);
-        const double cov = spc / n - mean_p * mean_c;
-        if (var_c > 1e-300) {
-          const double beta = cov / var_c;
-          // E[control] = S e^{(r-q)T} exactly (also the mean of the pair
-          // average): subtract the correlated component.
-          const double e_st = opt.spot * std::exp((opt.rate - opt.dividend) * opt.years);
-          est = mean_p - beta * (mean_c - e_st);
-          var_p = std::max(var_p - cov * cov / var_c, 0.0);
-        }
-      }
-      McResult r;
-      r.price = p.df * est;
-      r.std_error = p.df * std::sqrt(var_p / n);
-      out[o] = r;
+      done += chunk;
     }
+    const double n = static_cast<double>(draws);
+    const double mean_p = sp / n, mean_c = sc / n;
+    double var_p = std::max(spp / n - mean_p * mean_p, 0.0);
+    double est = mean_p;
+    if (control_variate) {
+      const double var_c = std::max(scc / n - mean_c * mean_c, 0.0);
+      const double cov = spc / n - mean_p * mean_c;
+      if (var_c > 1e-300) {
+        const double beta = cov / var_c;
+        // E[control] = S e^{(r-q)T} exactly (also the mean of the pair
+        // average): subtract the correlated component.
+        const double e_st = opt.spot * std::exp((opt.rate - opt.dividend) * opt.years);
+        est = mean_p - beta * (mean_c - e_st);
+        var_p = std::max(var_p - cov * cov / var_c, 0.0);
+      }
+    }
+    McResult r;
+    r.price = p.df * est;
+    r.std_error = p.df * std::sqrt(var_p / n);
+    out[o] = r;
   }
 }
 

@@ -48,8 +48,6 @@ std::size_t workload_bytes(const core::PortfolioView& v) {
 // Clear a job's result for a server-side terminal outcome (queue-expired
 // deadline), mirroring what Engine::price does on entry.
 void reset_result(engine::PricingResult& r) {
-  r.ok = false;
-  r.error.clear();
   r.status.reset();
   r.request_id = 0;
   r.items = 0;
@@ -281,7 +279,6 @@ void Server::process(std::uint64_t now) {
       job.result.chunks_deadline = 1;
       job.result.status.set(robust::StatusCode::kDeadlineExceeded,
                             "serve: deadline expired while queued");
-      job.result.error = job.result.status.to_string();
       n_expired_.fetch_add(1, std::memory_order_relaxed);
       c_expired.add(1);
       c_deadline.add(1);
@@ -306,8 +303,7 @@ void Server::process(std::uint64_t now) {
         job.result.kernel_id = job.request.kernel_id;
         job.result.status.set(robust::StatusCode::kResourceExhausted,
                               "serve: shed by brownout at max level");
-        job.result.error = job.result.status.to_string();
-        brownout_.note_shed();
+          brownout_.note_shed();
         n_brownout_shed_.fetch_add(1, std::memory_order_relaxed);
         c_bshed.add(1);
         claimed_[i] = 1;
@@ -434,8 +430,6 @@ void Server::complete(PricingJob& job, std::uint64_t end_ns, std::size_t batch_s
     if (job.result.status.code() == robust::StatusCode::kOk) {
       job.result.status.set(robust::StatusCode::kDegraded,
                             "serve: browned out (accuracy knobs reduced)");
-      job.result.error = job.result.status.to_string();
-      job.result.ok = job.result.status.ok();
     }
     c_degraded.add(1);
     restore_knobs(job);

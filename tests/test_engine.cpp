@@ -5,24 +5,25 @@
 // maturity-sorted heterogeneous portfolio, and Black–Scholes chunks on the
 // pool (bitwise parity, fused sanitize/guard, faults, deadlines).
 
-#include <omp.h>
+#include <dirent.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "finbench/arch/parallel.hpp"
 #include "finbench/core/analytic.hpp"
 #include "finbench/core/portfolio.hpp"
 #include "finbench/core/workload.hpp"
 #include "finbench/engine/engine.hpp"
 #include "finbench/engine/registry.hpp"
 #include "finbench/engine/validate.hpp"
-#include "finbench/kernels/blackscholes.hpp"
 #include "finbench/obs/metrics.hpp"
 #include "finbench/robust/denormal.hpp"
 #include "finbench/robust/guards.hpp"
@@ -104,16 +105,17 @@ TEST(Engine, UnknownKernelIdIsAnError) {
   PricingRequest req;
   req.kernel_id = "bs.nonexistent.scalar";
   const PricingResult res = Engine::shared().price(req);
-  EXPECT_FALSE(res.ok);
-  EXPECT_NE(res.error.find("unknown kernel id"), std::string::npos) << res.error;
+  EXPECT_FALSE(res.status.ok());
+  EXPECT_NE(res.status.message().find("unknown kernel id"), std::string::npos)
+      << res.status.to_string();
 }
 
 TEST(Engine, MissingWorkloadIsAnError) {
   PricingRequest req;
   req.kernel_id = "binomial.reference.scalar";  // kSpecs layout, but no specs
   const PricingResult res = Engine::shared().price(req);
-  EXPECT_FALSE(res.ok);
-  EXPECT_FALSE(res.error.empty());
+  EXPECT_FALSE(res.status.ok());
+  EXPECT_FALSE(res.status.message().empty());
 }
 
 // Chunked engine execution must be numerically invisible: the same values
@@ -144,12 +146,12 @@ TEST(Engine, ChunkedExecutionMatchesWholeBatch) {
     ASSERT_NE(v, nullptr);
     PricingResult whole;
     v->run_batch(req, req.portfolio, whole);
-    ASSERT_TRUE(whole.ok);
+    ASSERT_TRUE(whole.status.ok());
 
     for (auto sched : {arch::Schedule::kDynamic, arch::Schedule::kStatic}) {
       req.schedule = sched;
       const PricingResult res = eng.price(req);
-      ASSERT_TRUE(res.ok) << c.id << ": " << res.error;
+      ASSERT_TRUE(res.status.ok()) << c.id << ": " << res.status.to_string();
       ASSERT_EQ(res.values.size(), workload.size()) << c.id;
       for (std::size_t i = 0; i < workload.size(); ++i) {
         EXPECT_EQ(res.values[i], whole.values[i]) << c.id << " item " << i;
@@ -165,7 +167,7 @@ TEST(Engine, HeterogeneousStepsPerYearPricesEachExpiryAtItsOwnDepth) {
   req.portfolio = core::view_of(std::span<const core::OptionSpec>(workload));
   req.steps_per_year = 64;
   const PricingResult res = Engine::shared().price(req);
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
   // Longer-dated options get deeper lattices, so the result must differ
   // from a fixed-depth batch for at least one option.
@@ -173,7 +175,7 @@ TEST(Engine, HeterogeneousStepsPerYearPricesEachExpiryAtItsOwnDepth) {
   fixed.steps_per_year = 0;
   fixed.scratch.reset();
   const PricingResult res_fixed = Engine::shared().price(fixed);
-  ASSERT_TRUE(res_fixed.ok);
+  ASSERT_TRUE(res_fixed.status.ok());
   bool any_diff = false;
   for (std::size_t i = 0; i < workload.size(); ++i) {
     any_diff = any_diff || res.values[i] != res_fixed.values[i];
@@ -189,7 +191,7 @@ TEST(Engine, BatchLayoutFallsThroughToNativeKernel) {
   req.kernel_id = "bs.intermediate.auto";
   req.portfolio = core::view_of(soa);
   const PricingResult res = Engine::shared().price(req);
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   EXPECT_EQ(res.items, 512u);
   EXPECT_TRUE(res.values.empty());
   // Spot-check the outputs actually landed in the batch arrays.
@@ -206,7 +208,7 @@ TEST(Engine, RepeatedPricingOfOneRequestIsDeterministic) {
   req.npath = 4096;
   const PricingResult a = Engine::shared().price(req);
   const PricingResult b = Engine::shared().price(req);  // scratch reused
-  ASSERT_TRUE(a.ok && b.ok);
+  ASSERT_TRUE(a.status.ok() && b.status.ok());
   ASSERT_EQ(a.values.size(), b.values.size());
   for (std::size_t i = 0; i < a.values.size(); ++i) EXPECT_EQ(a.values[i], b.values[i]) << i;
 }
@@ -234,9 +236,9 @@ TEST(Engine, DynamicScheduleReducesImbalanceOnSortedMixedExpiryPortfolio) {
   obs::reset_metrics();
   for (int rep = 0; rep < 2; ++rep) {
     req.schedule = arch::Schedule::kStatic;
-    ASSERT_TRUE(eng.price(req).ok);
+    ASSERT_TRUE(eng.price(req).status.ok());
     req.schedule = arch::Schedule::kDynamic;
-    ASSERT_TRUE(eng.price(req).ok);
+    ASSERT_TRUE(eng.price(req).status.ok());
   }
   obs::enable_parallel_timing(false);
 
@@ -265,18 +267,30 @@ constexpr std::size_t kChunk = 16384;
 bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
-// Runs f on the calling thread under the engine pool's treatment: FTZ+DAZ
-// and a one-thread OpenMP team, so a whole-batch kernel computes exactly as
-// the engine's chunks do.
+// Runs f on the calling thread under the engine pool's FP treatment
+// (FTZ+DAZ), so a range body computes exactly as the engine's chunks do.
 template <class F>
 void as_pool_participant(F&& f) {
   const std::uint32_t fp = robust::save_fp_state();
-  const int omp = omp_get_max_threads();
   robust::install_denormal_ftz();
-  omp_set_num_threads(1);
   f();
-  omp_set_num_threads(omp);
   robust::restore_fp_state(fp);
+}
+
+// The serial reference the chunked results must match bitwise: v's range
+// body over all of `view` on the calling thread, under the pool's FP
+// treatment, prepared as the engine prepares a member. `outputs` sizes
+// res.values (0 for the Black–Scholes layouts, which price in place).
+PricingResult run_range_serial(const engine::VariantInfo& v, const PricingRequest& req,
+                               const core::PortfolioView& view, std::size_t outputs = 0) {
+  PricingResult res;
+  res.values.assign(outputs, 0.0);
+  if (v.has_std_error) res.std_errors.assign(view.size(), 0.0);
+  as_pool_participant([&] {
+    if (v.prepare) v.prepare(req, view);
+    v.run_range(req, view, 0, view.size(), res);
+  });
+  return res;
 }
 
 }  // namespace
@@ -290,13 +304,13 @@ TEST(EngineBsChunks, SoaMatchesDirectKernelBitwiseAcrossChunkEdges) {
       auto direct = core::make_bs_workload_soa(n, 41);
       direct.dividend = dividend;
       auto priced = direct;
-      kernels::bs::price_intermediate(direct);
 
       PricingRequest req;
       req.kernel_id = "bs.intermediate.auto";
+      run_range_serial(*Registry::instance().find(req.kernel_id), req, core::view_of(direct));
       req.portfolio = core::view_of(priced);
       const PricingResult res = eng.price(req);
-      ASSERT_TRUE(res.ok) << n << ": " << res.error;
+      ASSERT_TRUE(res.status.ok()) << n << ": " << res.status.to_string();
       EXPECT_EQ(res.items, n);
       if (n > 4 * kChunk) {
         EXPECT_EQ(res.chunk_status.size(), (n + kChunk - 1) / kChunk);
@@ -311,8 +325,8 @@ TEST(EngineBsChunks, SoaMatchesDirectKernelBitwiseAcrossChunkEdges) {
   }
 
   // The other in-place rows, in their native layouts: the engine's chunks
-  // (pools of 1 and 4) land bitwise where the row's run_batch does under
-  // the pool's treatment.
+  // (pools of 1 and 4) land bitwise where one serial range over the book
+  // does.
   engine::ThreadPool one(1);
   Engine eng1(&one);
   for (const char* id :
@@ -335,15 +349,12 @@ TEST(EngineBsChunks, SoaMatchesDirectKernelBitwiseAcrossChunkEdges) {
       req.kernel_id = id;
       req.portfolio = direct.view();
       req.steps = 64;
-      as_pool_participant([&] {
-        PricingResult r;
-        v->run_batch(req, direct.view(), r);
-      });
+      run_range_serial(*v, req, direct.view());
       for (const Engine* e : {&eng1, &eng}) {
         core::Portfolio priced = core::Portfolio::bs(n, v->layout, 59);
         req.portfolio = priced.view();
         const PricingResult res = e->price(req);
-        ASSERT_TRUE(res.ok) << id << " n=" << n << ": " << res.error;
+        ASSERT_TRUE(res.status.ok()) << id << " n=" << n << ": " << res.status.to_string();
         EXPECT_EQ(res.items, n);
         std::size_t diff = 0;
         for (std::size_t i = 0; i < n; ++i) {
@@ -359,7 +370,7 @@ TEST(EngineBsChunks, SoaMatchesDirectKernelBitwiseAcrossChunkEdges) {
 
 // Brownian rows on the pool (pools of 1 and 4, both schedules, odd path
 // counts that leave a ragged final lane group): every chunked construction
-// lands bitwise where the row's run_batch does under the pool's treatment.
+// lands bitwise where one serial range over all paths does.
 TEST(Engine, ChunkedPathConstructionMatchesWholeBatch) {
   engine::ThreadPool pool(4), one(1);
   Engine eng(&pool), eng1(&one);
@@ -375,14 +386,15 @@ TEST(Engine, ChunkedPathConstructionMatchesWholeBatch) {
       req.portfolio = core::paths_view(nsim);
       req.bridge_depth = 5;
       req.chunks_per_thread = 3;
-      PricingResult whole;
-      as_pool_participant([&] { v->run_batch(req, req.portfolio, whole); });
-      ASSERT_TRUE(whole.ok) << id;
+      // Whole paths of 2^5 + 1 points, or one average per path.
+      const std::size_t outputs =
+          v->id == "brownian.advanced_fused.auto" ? nsim : nsim * ((1u << 5) + 1);
+      const PricingResult whole = run_range_serial(*v, req, req.portfolio, outputs);
       for (const Engine* e : {&eng1, &eng}) {
         for (auto sched : {arch::Schedule::kDynamic, arch::Schedule::kStatic}) {
           req.schedule = sched;
           const PricingResult res = e->price(req);
-          ASSERT_TRUE(res.ok) << id << " nsim=" << nsim << ": " << res.error;
+          ASSERT_TRUE(res.status.ok()) << id << " nsim=" << nsim << ": " << res.status.to_string();
           EXPECT_EQ(res.items, nsim);
           ASSERT_EQ(res.values.size(), whole.values.size()) << id;
           std::size_t diff = 0;
@@ -396,6 +408,70 @@ TEST(Engine, ChunkedPathConstructionMatchesWholeBatch) {
   }
 }
 
+namespace {
+
+// Threads of this process, as /proc/self/task lists them.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  if (DIR* d = opendir("/proc/self/task")) {
+    while (const dirent* e = readdir(d)) n += e->d_name[0] != '.';
+    closedir(d);
+  }
+  return n;
+}
+
+}  // namespace
+
+// The engine path has one threading runtime: every registered variant's
+// run_range is free of OpenMP. Each id prices a small book in its native
+// layout (binomial specs rows also at per-option depths; tasks off and on) through
+// engines on pools of 1 and 4, from a fresh thread with the default OpenMP
+// ICV. An OpenMP team formed by any participant, the inline one-participant
+// path included, would leave its threads behind, so the process must have
+// grown by exactly the pools' 3 workers.
+TEST(Engine, RangeBodiesFormNoOpenMPTeam) {
+  ASSERT_GT(thread_count(), 0u);
+  arch::num_threads();  // its one-time detection forms a team: cache it here
+  std::thread([] {
+    const std::size_t before = thread_count();
+    engine::ThreadPool one(1), four(4);
+    Engine eng1(&one), eng4(&four);
+    ASSERT_EQ(thread_count(), before + 3);
+    for (const engine::VariantInfo* v : Registry::instance().all()) {
+      PricingRequest req;
+      req.kernel_id = v->id;
+      req.steps = 64;
+      req.npath = 4096;
+      req.cn_num_prices = 33;
+      req.bridge_depth = 5;
+      core::Portfolio bs_book;
+      std::vector<core::OptionSpec> specs;
+      if (v->layout == engine::Layout::kPaths) {
+        req.portfolio = core::paths_view(1001);
+      } else if (v->layout == engine::Layout::kSpecs) {
+        specs = lattice_workload(37, 3, !v->european_only);
+        req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
+      } else {
+        bs_book = core::Portfolio::bs(5000, v->layout, 3);
+        req.portfolio = bs_book.view();
+      }
+      const bool depths = v->kernel == "binomial" && v->layout == engine::Layout::kSpecs;
+      for (int spy : {0, 256}) {
+        if (spy > 0 && !depths) continue;
+        req.steps_per_year = spy;
+        for (auto tasks : {engine::TaskMode::kOff, engine::TaskMode::kOn}) {
+          req.tasks = tasks;
+          for (const Engine* e : {&eng1, &eng4}) {
+            const PricingResult res = e->price(req);
+            EXPECT_TRUE(res.status.ok()) << v->id << ": " << res.status.to_string();
+          }
+        }
+      }
+    }
+    EXPECT_EQ(thread_count(), before + 3) << "an OpenMP team formed on the engine path";
+  }).join();
+}
+
 TEST(EngineBsChunks, SinglePrecisionSoaMatchesDirectKernelBitwise) {
   engine::ThreadPool pool(4);
   Engine eng(&pool);
@@ -403,13 +479,13 @@ TEST(EngineBsChunks, SinglePrecisionSoaMatchesDirectKernelBitwise) {
                         kChunk - 1, kChunk + 1, (std::size_t{1} << 20) + 3}) {
     auto direct = core::to_single(core::make_bs_workload_soa(n, 43));
     auto priced = direct;
-    kernels::bs::price_intermediate_sp(direct);
 
     PricingRequest req;
     req.kernel_id = "bs.intermediate_sp.auto";
+    run_range_serial(*Registry::instance().find(req.kernel_id), req, core::view_of(direct));
     req.portfolio = core::view_of(priced);
     const PricingResult res = eng.price(req);
-    ASSERT_TRUE(res.ok) << n << ": " << res.error;
+    ASSERT_TRUE(res.status.ok()) << n << ": " << res.status.to_string();
     std::size_t diff = 0;
     for (std::size_t i = 0; i < n; ++i) {
       diff += !same_bits(priced.call[i], direct.call[i]) ||
@@ -422,7 +498,7 @@ TEST(EngineBsChunks, SinglePrecisionSoaMatchesDirectKernelBitwise) {
 // Faulty spots planted in the first, a middle and the last chunk: the
 // chunked path (input check per chunk, sanitizer on demand, re-run of the
 // flagged chunks) must land exactly where the serial sequence
-// sanitize -> run_batch -> guard_and_repair_bs does.
+// sanitize -> run_range -> guard_and_repair_bs does.
 TEST(EngineBsChunks, FaultyBooksMatchTheSerialSanitizeKernelGuardSequence) {
   const std::size_t n = 3 * kChunk + 100;
   const std::size_t planted[] = {5, kChunk + 11, n - 3};
@@ -451,10 +527,7 @@ TEST(EngineBsChunks, FaultyBooksMatchTheSerialSanitizeKernelGuardSequence) {
       robust::sanitize(sv, policy, san);
       std::size_t repaired = 0;
       if (policy != SanitizePolicy::kReject) {
-        as_pool_participant([&] {
-          PricingResult direct;
-          v->run_batch(req, sv, direct);
-        });
+        run_range_serial(*v, req, sv);
         repaired = robust::guard_and_repair_bs(sv, robust::GuardPolicy{}, san.mask);
         for (std::size_t i = 0; i < san.mask.size(); ++i) {
           if (san.mask[i] & robust::kFaultSkipped) {
@@ -534,7 +607,7 @@ TEST(EngineBsChunks, CorruptedOutputsAreRepairedPerChunk) {
   std::size_t corrupted = 0;
   for (std::size_t i = 0; i < n; ++i) corrupted += req.faults.hits(1, i, req.faults.corrupt);
   ASSERT_GT(corrupted, 0u);
-  EXPECT_EQ(res.status.code(), StatusCode::kDegraded) << res.error;
+  EXPECT_EQ(res.status.code(), StatusCode::kDegraded) << res.status.to_string();
   EXPECT_EQ(res.options_repaired, corrupted);
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_TRUE(std::isfinite(book.call[i]) && std::isfinite(book.put[i])) << i;
@@ -571,7 +644,7 @@ TEST(EngineBsChunks, ThrownChunksAreRepairedThroughTheClosedForm) {
   }
   ASSERT_GT(thrown, 0u) << "pick a seed that throws somewhere";
   ASSERT_LT(thrown, nchunks);
-  EXPECT_EQ(res.status.code(), StatusCode::kDegraded) << res.error;
+  EXPECT_EQ(res.status.code(), StatusCode::kDegraded) << res.status.to_string();
   EXPECT_EQ(res.chunks_degraded, thrown);
   EXPECT_EQ(res.options_repaired, thrown_items);
   EXPECT_EQ(res.items, n);
@@ -601,7 +674,7 @@ TEST(EngineBsChunks, DeadlineLeavesUnrunChunksNaN) {
   req.deadline_seconds = 0.02;
   const PricingResult res = eng.price(req);
 
-  EXPECT_EQ(res.status.code(), StatusCode::kDeadlineExceeded) << res.error;
+  EXPECT_EQ(res.status.code(), StatusCode::kDeadlineExceeded) << res.status.to_string();
   ASSERT_EQ(res.chunk_status.size(), 4u);
   EXPECT_EQ(static_cast<engine::ChunkStatus>(res.chunk_status.back()),
             engine::ChunkStatus::kDeadline);
@@ -620,6 +693,42 @@ TEST(EngineBsChunks, DeadlineLeavesUnrunChunksNaN) {
   }
   EXPECT_EQ(res.items, priced);
   EXPECT_EQ(res.chunks_deadline, skipped);
+
+  // A path result reused by the same request keeps its buffer between
+  // executions: a second execution cut short by the deadline still leaves
+  // no value of the first behind. Each path (points at values[c * nsim +
+  // s]) is either NaN throughout or rewritten, and the NaN paths are
+  // exactly the ones the deadline left unpriced.
+  const std::size_t nsim = 4099, points = (1u << 5) + 1;
+  PricingRequest paths;
+  paths.kernel_id = "brownian.intermediate.auto";
+  paths.portfolio = core::paths_view(nsim);
+  paths.bridge_depth = 5;
+  PricingResult reused;
+  eng.price(paths, reused);
+  ASSERT_TRUE(reused.status.ok()) << reused.status.to_string();
+  ASSERT_EQ(reused.values.size(), nsim * points);
+  const std::vector<double> first = reused.values;
+  const double* buffer = reused.values.data();
+  paths.faults = req.faults;
+  paths.deadline_seconds = req.deadline_seconds;
+  eng.price(paths, reused);
+  EXPECT_EQ(reused.status.code(), StatusCode::kDeadlineExceeded)
+      << reused.status.to_string();
+  ASSERT_GT(reused.chunks_deadline, 0u);
+  ASSERT_EQ(reused.values.size(), nsim * points);
+  EXPECT_EQ(reused.values.data(), buffer);
+  std::size_t unpriced = 0;
+  for (std::size_t p = 0; p < nsim; ++p) {
+    const bool nan = std::isnan(reused.values[p]);
+    unpriced += nan;
+    for (std::size_t c = 0; c < points; ++c) {
+      const double x = reused.values[c * nsim + p];
+      ASSERT_TRUE(nan ? std::isnan(x) : same_bits(x, first[c * nsim + p])) << p << "," << c;
+    }
+  }
+  EXPECT_GT(unpriced, 0u);
+  EXPECT_EQ(reused.items + unpriced, nsim);
 }
 
 // The negotiation cache keys on the caller's data pointer: a reused AOS
@@ -660,7 +769,7 @@ TEST(EngineGroup, MembersOnDifferentCurvesFuseAndPriceAsSolo) {
     PricingRequest solo;
     solo.kernel_id = "bs.intermediate.auto";
     solo.portfolio = core::view_of(alone[m]);
-    ASSERT_TRUE(eng.price(solo).ok);
+    ASSERT_TRUE(eng.price(solo).status.ok());
     std::size_t diff = 0;
     for (std::size_t i = 0; i < sizes[m]; ++i) {
       diff += !same_bits(books[m].call[i], alone[m].call[i]) ||
@@ -698,7 +807,7 @@ TEST(EngineGroup, MembersInDifferentLayoutsFuseAndPriceAsSolo) {
     PricingRequest solo;
     solo.kernel_id = "bs.intermediate.auto";
     solo.portfolio = alone[m].view();
-    ASSERT_TRUE(eng.price(solo).ok);
+    ASSERT_TRUE(eng.price(solo).status.ok());
     std::size_t diff = 0;
     for (std::size_t i = 0; i < sizes[m]; ++i) {
       const robust::BsElem a = robust::bs_elem(books[m].view(), i);
@@ -714,16 +823,16 @@ TEST(Engine, NegotiatedRequestRepricesInPlaceInputChanges) {
   PricingRequest reused;
   reused.kernel_id = "bs.intermediate.auto";  // SOA kernel, AOS request
   reused.portfolio = core::view_of(reused_book);
-  ASSERT_TRUE(Engine::shared().price(reused).ok);
+  ASSERT_TRUE(Engine::shared().price(reused).status.ok());
   for (auto& o : reused_book.options) o.spot *= 1.5;
   const PricingResult res = Engine::shared().price(reused);
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
   auto fresh_book = reused_book;
   PricingRequest fresh;
   fresh.kernel_id = reused.kernel_id;
   fresh.portfolio = core::view_of(fresh_book);
-  ASSERT_TRUE(Engine::shared().price(fresh).ok);
+  ASSERT_TRUE(Engine::shared().price(fresh).status.ok());
   for (std::size_t i = 0; i < reused_book.options.size(); ++i) {
     EXPECT_EQ(reused_book.options[i].call, fresh_book.options[i].call) << i;
     EXPECT_EQ(reused_book.options[i].put, fresh_book.options[i].put) << i;

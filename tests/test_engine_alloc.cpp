@@ -93,12 +93,12 @@ TEST(EngineAlloc, BsChunkedNativeLayoutIsAllocationFree) {
   Engine& eng = Engine::shared();
   PricingResult res;
   eng.price(req, res);  // warm-up: scratch, obs handles, result strings
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
   const std::size_t allocs = allocations_during([&] {
     for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
   });
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   EXPECT_EQ(allocs, 0u) << "steady-state chunked BS pricing allocated";
 }
 
@@ -111,12 +111,12 @@ TEST(EngineAlloc, BlockedBsChunksAreAllocationFree) {
   Engine& eng = Engine::shared();
   PricingResult res;
   eng.price(req, res);  // warm-up
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
   const std::size_t allocs = allocations_during([&] {
     for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
   });
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   EXPECT_EQ(allocs, 0u) << "steady-state blocked BS pricing allocated";
 }
 
@@ -130,13 +130,13 @@ TEST(EngineAlloc, BrownianPathRangesAreAllocationFree) {
 
   PricingResult res;
   eng.price(req, res);  // warm-up: schedule, normals, path pool
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   ASSERT_GT(res.chunk_status.size(), 1u);
 
   const std::size_t allocs = allocations_during([&] {
     for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
   });
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   EXPECT_EQ(allocs, 0u) << "steady-state Brownian pricing allocated";
 }
 
@@ -149,14 +149,14 @@ TEST(EngineAlloc, NegotiatedAosToSoaIsAllocationFreeAfterFirstConversion) {
   Engine& eng = Engine::shared();
   PricingResult res;
   eng.price(req, res);  // warm-up: converts AOS->SOA into the request arena
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   ASSERT_GT(res.convert_bytes, 0u) << "negotiation did not happen";
   const double first_cost = res.convert_seconds;
 
   const std::size_t allocs = allocations_during([&] {
     for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
   });
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   EXPECT_EQ(allocs, 0u) << "steady-state negotiated pricing allocated";
   // Repetitions report the cached one-time cost, not a fresh conversion.
   EXPECT_EQ(res.convert_seconds, first_cost);
@@ -181,12 +181,12 @@ TEST(EngineAlloc, ChunkedMonteCarloAcrossThePoolIsAllocationFree) {
     PricingResult res;
     eng.price(req, res);  // warm-up: normals, chunk bounds, mc buffer
     eng.price(req, res);  // second warm-up: res buffers at final capacity
-    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
     const std::size_t allocs = allocations_during([&] {
       for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
     });
-    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
     ASSERT_EQ(res.values.size(), workload.size());
     EXPECT_EQ(allocs, 0u) << "steady-state chunked MC allocated (schedule "
                           << (sched == arch::Schedule::kDynamic ? "dynamic" : "static") << ")";
@@ -214,12 +214,12 @@ TEST(EngineAlloc, BinomialLatticeScratchIsPooledAfterWarmup) {
     PricingResult res;
     eng.price(req, res);  // warm-up: lattice pool, chunk bounds
     eng.price(req, res);  // second warm-up: result buffers at capacity
-    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
     const std::size_t allocs = allocations_during([&] {
       for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
     });
-    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
     ASSERT_EQ(res.values.size(), workload.size());
     EXPECT_EQ(allocs, 0u) << "steady-state binomial pricing allocated (schedule "
                           << (sched == arch::Schedule::kDynamic ? "dynamic" : "static") << ")";
@@ -245,12 +245,12 @@ TEST(EngineAlloc, TaskedMixedExpiryBinomialIsAllocationFree) {
   PricingResult res;
   eng.price(req, res);  // warm-up: lattice pool, chunk bounds, task counters
   eng.price(req, res);  // second warm-up: result buffers at capacity
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
   const std::size_t allocs = allocations_during([&] {
     for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
   });
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   ASSERT_EQ(res.values.size(), workload.size());
   EXPECT_EQ(allocs, 0u) << "steady-state tasked binomial pricing allocated";
 }
@@ -274,12 +274,12 @@ TEST(EngineAlloc, MixedStylePerOptionDepthBinomialIsAllocationFree) {
     PricingResult res;
     eng.price(req, res);  // warm-up: lattice pool, chunk bounds
     eng.price(req, res);  // second warm-up: result buffers at capacity
-    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
     const std::size_t allocs = allocations_during([&] {
       for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
     });
-    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
     ASSERT_EQ(res.values.size(), workload.size());
     EXPECT_EQ(allocs, 0u) << "steady-state per-option-depth pricing allocated (" << id << ")";
   }
@@ -300,12 +300,12 @@ TEST(EngineAlloc, MonteCarloComputedRngScratchIsPooledAfterWarmup) {
     PricingResult res;
     eng.price(req, res);  // warm-up: rng pool, chunk bounds
     eng.price(req, res);
-    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
     const std::size_t allocs = allocations_during([&] {
       for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
     });
-    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
     ASSERT_EQ(res.values.size(), workload.size());
     EXPECT_EQ(allocs, 0u) << "steady-state computed MC allocated (schedule "
                           << (sched == arch::Schedule::kDynamic ? "dynamic" : "static") << ")";
@@ -327,7 +327,7 @@ TEST(EngineAlloc, SwitchingWorkloadsRebuildsThenSettles) {
   eng.price(req, res);
   req.portfolio = core::view_of(aos_b);
   eng.price(req, res);  // same size: the reset arena's blocks fit this
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
   const std::size_t allocs = allocations_during([&] {
     for (int rep = 0; rep < 4; ++rep) {
@@ -337,7 +337,7 @@ TEST(EngineAlloc, SwitchingWorkloadsRebuildsThenSettles) {
       eng.price(req, res);
     }
   });
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   // Each switch re-converts (the cache keys on the source pointer) but
   // into reused arena blocks — still no heap traffic.
   EXPECT_EQ(allocs, 0u);

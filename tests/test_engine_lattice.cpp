@@ -106,12 +106,12 @@ TEST(EngineLattice, EverySpecsBinomialVariantPricesAmericanBooks) {
     req.steps = 256;
     req.steps_per_year = spy;
     const PricingResult want = price(eng, req, book, kReference);
-    ASSERT_TRUE(want.ok) << want.error;
+    ASSERT_TRUE(want.status.ok()) << want.status.to_string();
     EXPECT_NEAR(want.values.back(), 40.0, 1e-9);
     for (const engine::VariantInfo* v : variants) {
       EXPECT_FALSE(v->european_only) << v->id;
       const PricingResult got = price(eng, req, book, v->id.c_str());
-      ASSERT_TRUE(got.ok) << v->id << ": " << got.error;
+      ASSERT_TRUE(got.status.ok()) << v->id << ": " << got.status.to_string();
       ASSERT_EQ(got.values.size(), book.size());
       for (std::size_t i = 0; i < book.size(); ++i) {
         EXPECT_NEAR(got.values[i], want.values[i],
@@ -139,13 +139,13 @@ TEST(EngineLattice, PerOptionDepthsBitwiseEqualAcrossExecutionShapes) {
   engine::ThreadPool pool(4);
   Engine eng(&pool);
   const PricingResult ref = price(eng, base, view, kReference);
-  ASSERT_TRUE(ref.ok) << ref.error;
+  ASSERT_TRUE(ref.status.ok()) << ref.status.to_string();
 
   for (const char* id : {"binomial.intermediate.avx2", "binomial.intermediate.auto",
                          "binomial.advanced.avx2", "binomial.advanced.auto",
                          "binomial.advanced_unrolled.auto"}) {
     const PricingResult solo = price(eng, base, view, id);
-    ASSERT_TRUE(solo.ok) << id << ": " << solo.error;
+    ASSERT_TRUE(solo.status.ok()) << id << ": " << solo.status.to_string();
     for (std::size_t i = 0; i < book.size(); ++i) {
       if (book[i].style == core::ExerciseStyle::kEuropean) {
         EXPECT_EQ(solo.values[i], ref.values[i]) << id << " option " << i;
@@ -166,7 +166,7 @@ TEST(EngineLattice, PerOptionDepthsBitwiseEqualAcrossExecutionShapes) {
                                     (sched == arch::Schedule::kStatic ? " static" : " dynamic") +
                                     (tasks == TaskMode::kOn ? " tasks" : " flat");
           const PricingResult got = price(eng, req, view, id);
-          ASSERT_TRUE(got.ok) << shape << ": " << got.error;
+          ASSERT_TRUE(got.status.ok()) << shape << ": " << got.status.to_string();
           expect_bitwise(got.values, solo.values, shape);
         }
       }
@@ -175,7 +175,7 @@ TEST(EngineLattice, PerOptionDepthsBitwiseEqualAcrossExecutionShapes) {
     for (const int threads : {1, 3}) {
       engine::ThreadPool other(threads);
       const PricingResult got = price(Engine(&other), base, view, id);
-      ASSERT_TRUE(got.ok) << got.error;
+      ASSERT_TRUE(got.status.ok()) << got.status.to_string();
       expect_bitwise(got.values, solo.values, std::string(id) + " pool " + std::to_string(threads));
     }
 
@@ -190,7 +190,8 @@ TEST(EngineLattice, PerOptionDepthsBitwiseEqualAcrossExecutionShapes) {
     const engine::GroupJob jobs[] = {{&req_a, &res_a}, {&req_b, &res_b}};
     engine::GroupScratch gs;
     eng.price_group(jobs, gs);
-    ASSERT_TRUE(res_a.ok && res_b.ok) << id << ": " << res_a.error << res_b.error;
+    ASSERT_TRUE(res_a.status.ok() && res_b.status.ok())
+        << id << ": " << res_a.status.to_string() << res_b.status.to_string();
     expect_bitwise(res_a.values, solo.values, std::string(id) + " group member a");
     const PricingResult solo_b =
         price(eng, base, std::span<const core::OptionSpec>(other_book), id);
@@ -218,7 +219,8 @@ TEST(EngineLattice, UniformDepthGroupMembersPriceBitwiseAsSolo) {
       base.steps = 256;
       const PricingResult solo_a = price(eng, base, book_a, v->id.c_str());
       const PricingResult solo_b = price(eng, base, book_b, v->id.c_str());
-      ASSERT_TRUE(solo_a.ok && solo_b.ok) << shape << ": " << solo_a.error << solo_b.error;
+      ASSERT_TRUE(solo_a.status.ok() && solo_b.status.ok())
+          << shape << ": " << solo_a.status.to_string() << solo_b.status.to_string();
 
       PricingRequest req_a = base, req_b = base;
       req_a.kernel_id = req_b.kernel_id = v->id;
@@ -229,7 +231,8 @@ TEST(EngineLattice, UniformDepthGroupMembersPriceBitwiseAsSolo) {
       const engine::GroupJob jobs[] = {{&req_a, &res_a}, {&req_b, &res_b}};
       engine::GroupScratch gs;
       eng.price_group(jobs, gs);
-      ASSERT_TRUE(res_a.ok && res_b.ok) << shape << ": " << res_a.error << res_b.error;
+      ASSERT_TRUE(res_a.status.ok() && res_b.status.ok())
+          << shape << ": " << res_a.status.to_string() << res_b.status.to_string();
       expect_bitwise(res_a.values, solo_a.values, shape + " member a");
       expect_bitwise(res_b.values, solo_b.values, shape + " member b");
     }

@@ -367,7 +367,7 @@ TEST(EngineRobust, CleanRunIsOkWithNoRobustnessResidue) {
   req.portfolio = core::view_of(std::span<const core::OptionSpec>(workload));
   req.steps = 64;
   const PricingResult res = Engine::shared().price(req);
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   EXPECT_EQ(res.status.code(), StatusCode::kOk);
   EXPECT_TRUE(res.option_faults.empty());
   EXPECT_EQ(res.options_skipped, 0u);
@@ -388,11 +388,10 @@ TEST(EngineRobust, SkipPolicyMasksPoisonedOptionsAndPricesTheRest) {
   req.steps = 64;  // default sanitize = kSkip
   const PricingResult res = Engine::shared().price(req);
 
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   EXPECT_EQ(res.status.code(), StatusCode::kDegraded);
   EXPECT_EQ(res.status.to_string(),
             "degraded: 0 clamped, 2 skipped, 0 repaired option(s), 0 fallback chunk(s)");
-  EXPECT_EQ(res.error, res.status.to_string());
   EXPECT_EQ(res.options_skipped, 2u);
   ASSERT_EQ(res.option_faults.size(), 24u);
   EXPECT_TRUE(res.option_faults[3] & robust::kFaultSkipped);
@@ -407,7 +406,7 @@ TEST(EngineRobust, SkipPolicyMasksPoisonedOptionsAndPricesTheRest) {
   cleanreq.portfolio = core::view_of(std::span<const core::OptionSpec>(clean));
   cleanreq.scratch.reset();
   const PricingResult want = Engine::shared().price(cleanreq);
-  ASSERT_TRUE(want.ok);
+  ASSERT_TRUE(want.status.ok());
   for (std::size_t i = 0; i < 24; ++i) {
     if (i == 3 || i == 7) continue;
     EXPECT_EQ(res.values[i], want.values[i]) << i;
@@ -424,7 +423,7 @@ TEST(EngineRobust, RejectPolicyFailsTheRequestWithTheFaultMask) {
   req.sanitize = SanitizePolicy::kReject;
   const PricingResult res = Engine::shared().price(req);
 
-  EXPECT_FALSE(res.ok);
+  EXPECT_FALSE(res.status.ok());
   EXPECT_EQ(res.status.code(), StatusCode::kInvalidInput);
   ASSERT_EQ(res.option_faults.size(), 8u);
   EXPECT_TRUE(res.option_faults[5] & robust::kFaultNonFinite);
@@ -444,7 +443,7 @@ TEST(EngineRobust, OffPolicyReproducesTheRawBenchmarkBehavior) {
   req.steps = 32;
   const PricingResult res = Engine::shared().price(req);
   // Garbage in, garbage out — but the engine itself never fails.
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   EXPECT_EQ(res.status.code(), StatusCode::kOk);
   EXPECT_TRUE(std::isnan(res.values[2]));
 }
@@ -458,7 +457,7 @@ TEST(EngineRobust, CorruptedBsOutputsAreRepairedByTheGuard) {
   req.faults.corrupt = 0.05;
   const PricingResult res = Engine::shared().price(req);
 
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   EXPECT_EQ(res.status.code(), StatusCode::kDegraded);
   EXPECT_GT(res.options_repaired, 0u);
   const core::PortfolioView& view = pf.view();
@@ -482,7 +481,7 @@ TEST(EngineRobust, InjectedChunkThrowsFallBackToTheChain) {
   req.faults.throw_rate = 1.0;  // every chunk throws before its kernel runs
   const PricingResult res = eng.price(req);
 
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   EXPECT_EQ(res.status.code(), StatusCode::kDegraded);
   EXPECT_EQ(res.chunks_failed, 0u);
   EXPECT_GT(res.chunks_degraded, 0u);
@@ -498,7 +497,7 @@ TEST(EngineRobust, InjectedChunkThrowsFallBackToTheChain) {
   want_req.faults = {};
   want_req.scratch.reset();
   const PricingResult want = eng.price(want_req);
-  ASSERT_TRUE(want.ok);
+  ASSERT_TRUE(want.status.ok());
   ASSERT_EQ(res.values.size(), want.values.size());
   for (std::size_t i = 0; i < res.values.size(); ++i) {
     EXPECT_EQ(res.values[i], want.values[i]) << i;
@@ -547,7 +546,7 @@ TEST(EngineRobust, FallbackDisabledSurfacesTheKernelError) {
   req.faults.throw_rate = 1.0;
   const PricingResult res = Engine::shared().price(req);
 
-  EXPECT_FALSE(res.ok);
+  EXPECT_FALSE(res.status.ok());
   EXPECT_EQ(res.status.code(), StatusCode::kKernelError);
   EXPECT_NE(res.status.message().find("injected kernel fault"), std::string::npos)
       << res.status.message();
@@ -571,7 +570,7 @@ TEST(EngineRobust, DeadlineYieldsPartialResultsWithPerChunkStatus) {
   req.deadline_seconds = 0.005;  // ...and the deadline expires during the first
 
   const PricingResult res = eng.price(req);
-  EXPECT_FALSE(res.ok);
+  EXPECT_FALSE(res.status.ok());
   EXPECT_EQ(res.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_GT(res.chunks_deadline, 0u);
   EXPECT_LT(res.items, workload.size());
@@ -661,7 +660,7 @@ TEST(EngineRobust, GroupDeadlineScattersPartialStatusPerMember) {
   resilience::clear_variant_faults();
 
   // Member A: its chunk had started before the expiry and ran to the end.
-  EXPECT_TRUE(res_a.ok) << res_a.status.to_string();
+  EXPECT_TRUE(res_a.status.ok()) << res_a.status.to_string();
   EXPECT_EQ(res_a.status.code(), StatusCode::kOk);
   EXPECT_EQ(res_a.items, book_a.size());
   ASSERT_EQ(res_a.values.size(), book_a.size());
@@ -669,7 +668,7 @@ TEST(EngineRobust, GroupDeadlineScattersPartialStatusPerMember) {
 
   // Member B: its slice was skipped at the chunk boundary — partial
   // status, zero priced items, NaN values disclosed for inspection.
-  EXPECT_FALSE(res_b.ok);
+  EXPECT_FALSE(res_b.status.ok());
   EXPECT_EQ(res_b.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(res_b.chunks_deadline, 1u);
   EXPECT_EQ(res_b.items, 0u);
@@ -742,7 +741,7 @@ TEST(EngineRobust, PreCancelledTokenPricesNothing) {
   req.cancel = &token;
   const PricingResult res = eng.price(req);
 
-  EXPECT_FALSE(res.ok);
+  EXPECT_FALSE(res.status.ok());
   EXPECT_EQ(res.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(res.items, 0u);
   for (double v : res.values) EXPECT_TRUE(std::isnan(v));
@@ -758,7 +757,7 @@ TEST(EngineRobust, InjectionEventsLandInTheObsCounters) {
   req.portfolio = core::view_of(std::span<const core::OptionSpec>(workload));
   req.steps = 32;
   req.faults.throw_rate = 1.0;
-  ASSERT_TRUE(Engine::shared().price(req).ok);
+  ASSERT_TRUE(Engine::shared().price(req).status.ok());
 
   EXPECT_GT(counter_value("robust.inject.thrown"), thrown0);
   EXPECT_GT(counter_value("robust.fallback.chunks"), fallback0);

@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 #include <immintrin.h>
-#include <omp.h>
 
 #include "finbench/arch/timing.hpp"
 #include "finbench/engine/task_group.hpp"
@@ -76,25 +75,23 @@ TEST(ThreadPool, SizeOneRunsInline) {
   EXPECT_EQ(ran, 17);
 }
 
-// A one-chunk run executes inline on the caller with the pool's treatment
-// (FTZ+DAZ, a one-thread OpenMP team), both restored afterwards; tasks the
-// chunk spawns still complete (their first spawn wakes the helpers).
+// A one-chunk run executes inline on the caller with the pool's FP
+// treatment (FTZ+DAZ), restored afterwards; tasks the chunk spawns still
+// complete (their first spawn wakes the helpers). That no range body forms
+// an OpenMP team is Engine.RangeBodiesFormNoOpenMPTeam's to check.
 TEST(ThreadPool, SingleChunkRunsInlineOnTheCaller) {
   ThreadPool pool(4);
   const auto caller = std::this_thread::get_id();
-  const int omp_before = omp_get_max_threads();
   const unsigned csr_before = _mm_getcsr();
   int ran = 0;
   pool.run(1, [&](std::ptrdiff_t c) {
     EXPECT_EQ(c, 0);
     EXPECT_EQ(std::this_thread::get_id(), caller);
     EXPECT_EQ(ThreadPool::current_participant(), 0);
-    EXPECT_EQ(omp_get_max_threads(), 1);
     EXPECT_EQ(_mm_getcsr() & 0x8040u, 0x8040u);  // FTZ | DAZ
     ++ran;
   });
   EXPECT_EQ(ran, 1);
-  EXPECT_EQ(omp_get_max_threads(), omp_before);
   EXPECT_EQ(_mm_getcsr(), csr_before);
 
   std::atomic<int> tasks{0};
