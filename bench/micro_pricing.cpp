@@ -6,6 +6,7 @@
 
 #include "micro_common.hpp"
 
+#include "finbench/arch/aligned.hpp"
 #include "finbench/core/analytic.hpp"
 #include "finbench/core/workload.hpp"
 #include "finbench/kernels/binomial.hpp"
@@ -13,6 +14,7 @@
 #include "finbench/kernels/cranknicolson.hpp"
 #include "finbench/kernels/lattice.hpp"
 #include "finbench/kernels/heston.hpp"
+#include "finbench/simd/vec.hpp"
 
 namespace {
 
@@ -70,6 +72,30 @@ void BM_BinomialCrr(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BinomialCrr)->Arg(128)->Arg(512);
+
+// One deep lattice on W lanes (the per-option-depth path): args are
+// {W, American, steps}. `nodes` is the lattice's steps*(steps+1)/2 node
+// updates, skipped zero spans included, so the time per iteration over
+// `nodes` is the cost per node.
+void BM_BinomialOneSimd(benchmark::State& state) {
+  double (*price)(const core::OptionSpec&, int, std::span<double>) =
+      binomial::price_one_simd<4>;
+#if defined(FINBENCH_HAVE_AVX512)
+  if (state.range(0) == 8) price = binomial::price_one_simd<8>;
+#endif
+  const core::OptionSpec opt{100, 100, 1.0, 0.05, 0.25, core::OptionType::kPut,
+                             state.range(1) != 0 ? core::ExerciseStyle::kAmerican
+                                                 : core::ExerciseStyle::kEuropean};
+  const int steps = static_cast<int>(state.range(2));
+  arch::AlignedVector<double> lattice(binomial::one_simd_doubles(steps));
+  const std::span<double> lat{lattice.data(), lattice.size()};
+  for (auto _ : state) benchmark::DoNotOptimize(price(opt, steps, lat));
+  const double nodes = 0.5 * steps * (steps + 1.0);
+  state.counters["nodes"] = nodes;
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * nodes));
+}
+BENCHMARK(BM_BinomialOneSimd)
+    ->ArgsProduct({{4, simd::kMaxVectorWidth}, {0, 1}, {1024, 4096, 16384}});
 
 void BM_LeisenReimer(benchmark::State& state) {
   std::size_t i = 0;

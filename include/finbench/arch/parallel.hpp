@@ -44,26 +44,18 @@ inline std::atomic<int>& cached_num_threads() {
   return v;
 }
 
-inline int detect_num_threads() {
-  int n = 1;
-#pragma omp parallel
-  {
-#pragma omp single
-    n = omp_get_num_threads();
-  }
-  return n;
-}
-
 }  // namespace detail
 
-// Effective OpenMP team size. Detection spins up a full parallel region,
-// far too expensive per call (bench_common queries this once per
-// measurement repetition), so the result is cached after the first call;
-// set_num_threads() keeps the cache coherent with override requests.
+// Effective OpenMP team size: the team a parallel region would form, read
+// from the ICV (omp_get_max_threads), so asking forms no team and leaves no
+// OpenMP threads behind on callers that never open a region (the engine
+// pool sizes itself and its scratch with this). The value is cached
+// process-wide and set_num_threads() updates the cache, because the ICV
+// omp_set_num_threads writes is the calling thread's alone.
 inline int num_threads() {
   int n = detail::cached_num_threads().load(std::memory_order_relaxed);
   if (n > 0) return n;
-  n = detail::detect_num_threads();
+  n = omp_get_max_threads();
   detail::cached_num_threads().store(n, std::memory_order_relaxed);
   return n;
 }

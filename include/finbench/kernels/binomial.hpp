@@ -51,11 +51,18 @@ inline std::size_t lattice_doubles(int steps, int width = 8) {
   return static_cast<std::size_t>(steps + 1) * static_cast<std::size_t>(width);
 }
 
+// Levels price_one_simd carries down per pass over its node row.
+inline constexpr int kOneSimdLevelsPerPass = 2;
+// Zero-filled doubles past the last node of each of price_one_simd's rows:
+// a pass reads up to kOneSimdLevelsPerPass + 1 blocks of (at most 8)
+// nodes ahead of the block it stores.
+inline constexpr std::size_t kOneSimdPad = (kOneSimdLevelsPerPass + 1) * 8;
+
 // Lattice storage price_one_simd needs: the (steps+1)-node row plus the
-// two parity-split exercise rows of steps+1 doubles each. Fits every
-// lattice_doubles(steps) slot.
+// two parity-split exercise rows, each followed by kOneSimdPad doubles.
+// Engines reserve the larger of this and lattice_doubles(steps).
 inline std::size_t one_simd_doubles(int steps) {
-  return 3 * (static_cast<std::size_t>(steps) + 1);
+  return 3 * (static_cast<std::size_t>(steps) + 1 + kOneSimdPad);
 }
 
 // Price a single option (any style); the building block of `reference`.
@@ -67,13 +74,19 @@ double price_one_reference(const core::OptionSpec& opt, int steps, std::span<dou
 // One option with its lattice nodes on W SIMD lanes (W in {1, 4, 8}; 8
 // needs an AVX-512 build): the single-option path of the intermediate and
 // advanced levels, used for their n % W tails and for per-option depths.
-// American exercise reads node payoffs from two precomputed rows, one per
-// level parity, since node (L, j) has spot S*u^(2j-L): level L = 2m+q
-// reads row q at offset j-m contiguously, so there is no serial spot chain
-// in the j-loop. The European reduction is the reference's unfused
-// pu*up + pd*dn, so European results are bitwise equal to
-// price_one_reference; American results agree with it to ~1e-12 and are
-// bitwise equal across W. `lattice` holds at least one_simd_doubles(steps).
+// Each pass over the node row reduces kOneSimdLevelsPerPass levels,
+// loading and storing each block of W nodes once (the temporal blocking of
+// the advanced level's register tiles; the deeper levels' j+1 operands are
+// simd::shift_ins of register blocks), and stores only the blocks over the
+// span of nodes that can be nonzero; the levels left below
+// kOneSimdLevelsPerPass take a scalar loop. American exercise reads node
+// payoffs from two precomputed rows, one per level parity, since node
+// (L, j) has spot S*u^(2j-L): level L = 2m+q reads row q at offset j-m
+// contiguously, so there is no serial spot chain in the j-loop. Every
+// computed node is the reference's unfused pu*up + pd*dn, so European
+// results are bitwise equal to price_one_reference; American results agree
+// with it to ~1e-12 and are bitwise equal across W. `lattice` holds at
+// least one_simd_doubles(steps).
 template <int W>
 double price_one_simd(const core::OptionSpec& opt, int steps, std::span<double> lattice);
 

@@ -113,8 +113,10 @@ template <> struct Vec<double, 1> {
 inline Vec<double, 1> fmadd(Vec<double, 1> a, Vec<double, 1> b, Vec<double, 1> c) { return {std::fma(a.v, b.v, c.v)}; }
 inline Vec<double, 1> fmsub(Vec<double, 1> a, Vec<double, 1> b, Vec<double, 1> c) { return {std::fma(a.v, b.v, -c.v)}; }
 inline Vec<double, 1> fnmadd(Vec<double, 1> a, Vec<double, 1> b, Vec<double, 1> c) { return {std::fma(-a.v, b.v, c.v)}; }
-inline Vec<double, 1> min(Vec<double, 1> a, Vec<double, 1> b) { return {b.v < a.v ? b.v : a.v}; }
-inline Vec<double, 1> max(Vec<double, 1> a, Vec<double, 1> b) { return {a.v < b.v ? b.v : a.v}; }
+// min/max return b when either operand is NaN or they compare equal, as
+// minpd/maxpd do, so a scalar lane matches a SIMD lane bit for bit.
+inline Vec<double, 1> min(Vec<double, 1> a, Vec<double, 1> b) { return {a.v < b.v ? a.v : b.v}; }
+inline Vec<double, 1> max(Vec<double, 1> a, Vec<double, 1> b) { return {a.v > b.v ? a.v : b.v}; }
 inline Vec<double, 1> abs(Vec<double, 1> a) { return {std::fabs(a.v)}; }
 inline Vec<double, 1> sqrt(Vec<double, 1> a) { return {std::sqrt(a.v)}; }
 inline Vec<double, 1> round_nearest(Vec<double, 1> a) { return {std::nearbyint(a.v)}; }
@@ -416,6 +418,21 @@ inline Vec<double, 4> reverse(Vec<double, 4> a) {
 inline Vec<double, 8> reverse(Vec<double, 8> a) {
   const __m512i idx = _mm512_setr_epi64(7, 6, 5, 4, 3, 2, 1, 0);
   return Vec<double, 8>(_mm512_permutexvar_pd(idx, a.v));
+}
+#endif
+
+// Lanes 1..W-1 of `a` followed by lane 0 of `next`: loadu(p + 1) rebuilt in
+// registers from a = loadu(p) and next = loadu(p + W), so a stencil that
+// streams aligned blocks needs no second, unaligned load for its j+1 operand.
+inline Vec<double, 1> shift_in(Vec<double, 1>, Vec<double, 1> next) { return next; }
+inline Vec<double, 4> shift_in(Vec<double, 4> a, Vec<double, 4> next) {
+  const __m256d mid = _mm256_permute2f128_pd(a.v, next.v, 0x21);  // a2 a3 n0 n1
+  return Vec<double, 4>(_mm256_shuffle_pd(a.v, mid, 0x5));         // a1 a2 a3 n0
+}
+#if defined(FINBENCH_HAVE_AVX512)
+inline Vec<double, 8> shift_in(Vec<double, 8> a, Vec<double, 8> next) {
+  return Vec<double, 8>(_mm512_castsi512_pd(
+      _mm512_alignr_epi64(_mm512_castpd_si512(next.v), _mm512_castpd_si512(a.v), 1)));
 }
 #endif
 

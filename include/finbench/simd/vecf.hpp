@@ -90,8 +90,9 @@ template <> struct Vec<float, 1> {
 
 inline Vec<float, 1> fmadd(Vec<float, 1> a, Vec<float, 1> b, Vec<float, 1> c) { return {std::fmaf(a.v, b.v, c.v)}; }
 inline Vec<float, 1> fnmadd(Vec<float, 1> a, Vec<float, 1> b, Vec<float, 1> c) { return {std::fmaf(-a.v, b.v, c.v)}; }
-inline Vec<float, 1> min(Vec<float, 1> a, Vec<float, 1> b) { return {b.v < a.v ? b.v : a.v}; }
-inline Vec<float, 1> max(Vec<float, 1> a, Vec<float, 1> b) { return {a.v < b.v ? b.v : a.v}; }
+// As the double lane: b when either operand is NaN or they compare equal.
+inline Vec<float, 1> min(Vec<float, 1> a, Vec<float, 1> b) { return {a.v < b.v ? a.v : b.v}; }
+inline Vec<float, 1> max(Vec<float, 1> a, Vec<float, 1> b) { return {a.v > b.v ? a.v : b.v}; }
 inline Vec<float, 1> abs(Vec<float, 1> a) { return {std::fabs(a.v)}; }
 inline Vec<float, 1> sqrt(Vec<float, 1> a) { return {std::sqrt(a.v)}; }
 inline Vec<float, 1> round_nearest(Vec<float, 1> a) { return {std::nearbyintf(a.v)}; }

@@ -77,11 +77,15 @@ int max_steps(const PricingRequest& req, const core::PortfolioView& view) {
 
 // Carve the per-worker lattice slots once per request; reserve() is
 // idempotent so the engine (via the prepare hook) and the exhibits' run_batch
-// (lazily, below) share this. Steady-state repetitions never allocate.
+// (lazily, below) share this. Steady-state repetitions never allocate. A
+// slot holds a lane group's lattice or one option's padded rows, whichever
+// is larger (the padding outweighs the lane group's at shallow depths).
 void reserve_lattice(const PricingRequest& req, const core::PortfolioView& view) {
   Scratch& s = scratch_of(req);
+  const int steps = max_steps(req, view);
   s.lattice_pool.reserve(s.kernel_arena,
-                         kernels::binomial::lattice_doubles(max_steps(req, view)),
+                         std::max(kernels::binomial::lattice_doubles(steps),
+                                  kernels::binomial::one_simd_doubles(steps)),
                          scratch_slots());
 }
 

@@ -1,5 +1,6 @@
 #include "finbench/kernels/binomial.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -97,64 +98,156 @@ double price_one_reference(const core::OptionSpec& opt, int steps, std::span<dou
 
 // --- Single option on SIMD lanes ----------------------------------------------
 
+namespace {
+
+// [lo, hi]: the nodes of a row that may be nonzero (empty when lo > hi).
+struct NonzeroSpan {
+  int lo;
+  int hi;
+};
+
+NonzeroSpan nonzero_span(const double* row, int n) {
+  NonzeroSpan nz{0, n - 1};
+  while (nz.hi >= 0 && row[nz.hi] == 0.0) --nz.hi;
+  while (nz.lo < nz.hi && row[nz.lo] == 0.0) ++nz.lo;
+  return nz;
+}
+
+// The parity-split exercise rows of an American option and their spans.
+struct ExerciseRows {
+  const double* row[2];
+  NonzeroSpan nz[2];
+};
+
+// Backward induction of one option's row from level `steps` to level 0.
+//
+// Each pass over the row carries it down F = kOneSimdLevelsPerPass levels:
+// it loads one new block of W level-i nodes per step and stores one block
+// of level i-F, keeping in registers, per level, the block the level below
+// still needs. Level i-1's j+1 operand is an unaligned load of the row,
+// which level i still occupies; the deeper levels' are shift_ins of two
+// register blocks (an all-shuffle pass measured slower: the shuffles share
+// a port with the arithmetic, the loads do not). Lanes past a level's last
+// node compute garbage from the zero-filled pad and never feed a valid
+// node. Levels left below F take a scalar loop.
+//
+// Every node of level i outside the span [lo, hi] is +0 in memory, and a
+// node whose inputs and exercise value are +0 is +0 (pu*0 + pd*0 for
+// finite pu, pd, then max(0, 0)). A level's span is therefore its parent's
+// widened by one node down and by its exercise row's span, and a pass
+// stores only the blocks over its span: puts never touch the nodes above
+// the strike, calls those below it, about a quarter of a deep lattice.
+//
+// Every node that is computed is pu*C(L+1, j+1) + pd*C(L+1, j) (then the
+// max with E_q), so results do not depend on F or W.
+template <int W, bool American>
+double reduce_one_simd(double* call, int steps, double pu_s, double pd_s,
+                       const ExerciseRows& x) {
+  using V = simd::Vec<double, W>;
+  constexpr int F = kOneSimdLevelsPerPass;
+  const V pu(pu_s), pd(pd_s);
+  // Level L = 2m+q reads its exercise values from row q at half - m.
+  const int half = steps / 2;
+  const auto ex_offset = [&](int level) { return half - level / 2; };
+
+  // pu*0 is +0 only for a finite pu: a lattice whose u rounds to 1 has a
+  // NaN pu and every node NaN, so it keeps the whole row.
+  NonzeroSpan nz = std::isfinite(pu_s) && std::isfinite(pd_s)
+                       ? nonzero_span(call, steps + 1)
+                       : NonzeroSpan{0, steps};
+  int i = steps;
+  for (; i >= F; i -= F) {
+    const double* ex[F] = {};
+    for (int f = 0; f < F; ++f) {
+      const int level = i - f - 1;
+      --nz.lo;
+      if constexpr (American) {
+        const int q = level & 1, off = ex_offset(level);
+        ex[f] = x.row[q] + off;
+        if (x.nz[q].lo <= x.nz[q].hi) {
+          nz.lo = std::min(nz.lo, x.nz[q].lo - off);
+          nz.hi = std::max(nz.hi, x.nz[q].hi - off);
+        }
+      }
+    }
+    nz.lo = std::max(nz.lo, 0);
+    nz.hi = std::min(nz.hi, i - F);
+    if (nz.lo > nz.hi) continue;  // the whole level is +0 already
+    const int first = nz.lo / W * W;
+
+    // lvl[f]: the block of level i-f that level i-f-1's next block takes
+    // as its `dn` operand.
+    V lvl[F];
+    // Loads the level-i block at `top` and carries it down n levels:
+    // level i-f-1's block at top-(f+1)*W from level i-f's blocks there
+    // (lvl[f]) and at top-f*W. Returns the last block made.
+    const auto descend = [&](int top, int n) {
+      V cur = V::loadu(call + top);
+      for (int f = 0; f < n; ++f) {
+        const int at = top - (f + 1) * W;
+        const V up = f == 0 ? V::loadu(call + at + 1) : shift_in(lvl[f], cur);
+        V next = pu * up + pd * lvl[f];
+        // max(E, cont) is std::max(cont, E): cont when either is NaN.
+        if constexpr (American) next = max(V::loadu(ex[f] + at), next);
+        lvl[f] = cur;
+        cur = next;
+      }
+      return cur;
+    };
+    for (int s = 0; s < F; ++s) lvl[s] = descend(first + s * W, s);
+    for (int j = first; j <= nz.hi; j += W) descend(j + F * W, F).storeu(call + j);
+  }
+  // The fewer than F levels left have fewer than F nodes each.
+  for (; i > 0; --i) {
+    const double* const ex = American ? x.row[(i - 1) & 1] + ex_offset(i - 1) : nullptr;
+    for (int j = 0; j < i; ++j) {
+      const double c = pu_s * call[j + 1] + pd_s * call[j];
+      call[j] = American ? std::max(c, ex[j]) : c;
+    }
+  }
+  return call[0];
+}
+
+}  // namespace
+
 template <int W>
 double price_one_simd(const core::OptionSpec& opt, int steps, std::span<double> lattice) {
-  using V = simd::Vec<double, W>;
   assert(lattice.size() >= one_simd_doubles(steps));
   const CrrParams p = crr(opt, steps);
-  const double pu_s = p.pu_by_df, pd_s = p.pd_by_df;
-  const V pu(pu_s), pd(pd_s);
-  const std::size_t nodes = static_cast<std::size_t>(steps) + 1;
+  const int nodes = steps + 1;
+  const std::size_t row = static_cast<std::size_t>(nodes) + kOneSimdPad;
   double* const call = lattice.data();
 
   // Leaves exactly as the reference builds them.
   double s = opt.spot * std::pow(p.down, steps);
   const double ratio = p.up / p.down;
-  for (std::size_t j = 0; j < nodes; ++j) {
+  for (int j = 0; j < nodes; ++j) {
     call[j] = payoff(opt, s);
     s *= ratio;
   }
+  std::fill(call + nodes, call + row, 0.0);
 
   if (opt.style != core::ExerciseStyle::kAmerican) {
-    for (int i = steps; i > 0; --i) {
-      int j = 0;
-      for (; j + W <= i; j += W) {
-        const V up = V::loadu(call + j + 1);
-        const V dn = V::loadu(call + j);
-        (pu * up + pd * dn).storeu(call + j);
-      }
-      for (; j < i; ++j) call[j] = pu_s * call[j + 1] + pd_s * call[j];
-    }
-    return call[0];
+    return reduce_one_simd<W, false>(call, steps, p.pu_by_df, p.pd_by_df, {});
   }
 
   // Exercise rows: ex[q][r] = payoff(S*u^(2(r-half)-q)), so node (L, j)
   // with L = 2m+q reads ex[q][half-m+j]. Each row is one multiply chain
   // by u/d = u^2.
-  const int half = steps / 2;
-  double* const ex0 = call + nodes;
-  double* const ex1 = ex0 + nodes;
-  double s0 = opt.spot * std::pow(p.down, 2 * half);
+  double* const ex0 = call + row;
+  double* const ex1 = ex0 + row;
+  double s0 = opt.spot * std::pow(p.down, 2 * (steps / 2));
   double s1 = s0 * p.down;
-  for (std::size_t r = 0; r < nodes; ++r) {
+  for (int r = 0; r < nodes; ++r) {
     ex0[r] = payoff(opt, s0);
     ex1[r] = payoff(opt, s1);
     s0 *= ratio;
     s1 *= ratio;
   }
-
-  for (int i = steps; i > 0; --i) {
-    const int level = i - 1;
-    const double* const ex = ((level & 1) != 0 ? ex1 : ex0) + (half - level / 2);
-    int j = 0;
-    for (; j + W <= i; j += W) {
-      const V up = V::loadu(call + j + 1);
-      const V dn = V::loadu(call + j);
-      max(pu * up + pd * dn, V::loadu(ex + j)).storeu(call + j);
-    }
-    for (; j < i; ++j) call[j] = std::max(pu_s * call[j + 1] + pd_s * call[j], ex[j]);
-  }
-  return call[0];
+  std::fill(ex0 + nodes, ex0 + row, 0.0);
+  std::fill(ex1 + nodes, ex1 + row, 0.0);
+  const ExerciseRows x{{ex0, ex1}, {nonzero_span(ex0, nodes), nonzero_span(ex1, nodes)}};
+  return reduce_one_simd<W, true>(call, steps, p.pu_by_df, p.pd_by_df, x);
 }
 
 template double price_one_simd<1>(const core::OptionSpec&, int, std::span<double>);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -220,7 +221,12 @@ std::vector<core::OptionSpec> one_simd_book() {
   return book;
 }
 
-constexpr int kOneSimdSteps[] = {1, 2, 3, 16, 17, 64, 255, 256, 1023};
+// Depths around the fused pass's threshold (fewer levels than one pass
+// carries are reduced one at a time), so both parities of the levels left
+// over are hit, plus one past L1.
+constexpr int kFused = binomial::kOneSimdLevelsPerPass;
+constexpr int kOneSimdSteps[] = {kFused - 1, kFused, kFused + 1, kFused + 2, 16, 17,
+                                 64,         255,    256,        1023,       4097};
 
 template <int W>
 std::vector<double> price_all_one_simd(const std::vector<core::OptionSpec>& book, int steps) {
@@ -265,6 +271,76 @@ TEST(BinomialOneSimd, W4BitwiseEqualsW8) {
   }
 }
 #endif
+
+// The single-option kernel's American contract without fusion or skipped
+// zero spans: one level per pass over every node, each node
+// max(pu*up + pd*dn, E_q[half-m+j]) from the parity-split exercise rows.
+double american_one_level_per_pass(const core::OptionSpec& o, int steps) {
+  const auto p = binomial::detail::crr_derived(o, steps);
+  const int half = steps / 2;
+  std::vector<double> call(steps + 1), ex[2] = {call, call};
+  double s = o.spot * std::pow(p.down, steps);
+  double s0 = o.spot * std::pow(p.down, 2 * half), s1 = s0 * p.down;
+  const double ratio = p.up / p.down;
+  for (int j = 0; j <= steps; ++j) {
+    call[j] = binomial::detail::payoff_of(o, s);
+    ex[0][j] = binomial::detail::payoff_of(o, s0);
+    ex[1][j] = binomial::detail::payoff_of(o, s1);
+    s *= ratio;
+    s0 *= ratio;
+    s1 *= ratio;
+  }
+  for (int level = steps - 1; level >= 0; --level) {
+    const double* e = ex[level & 1].data() + (half - level / 2);
+    for (int j = 0; j <= level; ++j) {
+      call[j] = std::max(p.pu_by_df * call[j + 1] + p.pd_by_df * call[j], e[j]);
+    }
+  }
+  return call[0];
+}
+
+template <int W>
+void expect_american_matches_one_level_per_pass() {
+  for (const int steps : kOneSimdSteps) {
+    auto book = one_simd_book();
+    for (core::OptionSpec& o : book) o.style = core::ExerciseStyle::kAmerican;
+    const std::vector<double> got = price_all_one_simd<W>(book, steps);
+    for (std::size_t i = 0; i < book.size(); ++i) {
+      EXPECT_EQ(got[i], american_one_level_per_pass(book[i], steps))
+          << "W=" << W << " steps=" << steps << " i=" << i;
+    }
+  }
+}
+
+TEST(BinomialOneSimd, AmericanMatchesOneLevelPerPassBitwise) {
+  expect_american_matches_one_level_per_pass<1>();
+  expect_american_matches_one_level_per_pass<4>();
+#if defined(FINBENCH_HAVE_AVX512)
+  expect_american_matches_one_level_per_pass<8>();
+#endif
+}
+
+TEST(BinomialOneSimd, LatticeWithNaNProbabilityPricesNaN) {
+  // vol*sqrt(dt) below half an ulp of 1 rounds u to 1, so with r = q the
+  // risk-neutral probability is 0/0. Every node is NaN, as in the
+  // reference: no zero span is skipped and no exercise value replaces a
+  // NaN continuation.
+  for (auto type : {core::OptionType::kCall, core::OptionType::kPut}) {
+    for (auto style : {core::ExerciseStyle::kEuropean, core::ExerciseStyle::kAmerican}) {
+      core::OptionSpec o{100, 100.5, 1.0, 0.03, 1e-17, type, style};
+      o.dividend = 0.03;
+      for (const int steps : {kFused, 34, 257}) {
+        ASSERT_TRUE(std::isnan(binomial::price_one_reference(o, steps)));
+        std::vector<double> lattice(binomial::one_simd_doubles(steps));
+        EXPECT_TRUE(std::isnan(binomial::price_one_simd<1>(o, steps, lattice))) << steps;
+        EXPECT_TRUE(std::isnan(binomial::price_one_simd<4>(o, steps, lattice))) << steps;
+#if defined(FINBENCH_HAVE_AVX512)
+        EXPECT_TRUE(std::isnan(binomial::price_one_simd<8>(o, steps, lattice))) << steps;
+#endif
+      }
+    }
+  }
+}
 
 TEST(BinomialOneSimd, EarlyExerciseIsPriced) {
   // The American put is worth more than the European, the dividend-paying

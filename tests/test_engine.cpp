@@ -230,7 +230,8 @@ TEST(Engine, DynamicScheduleReducesImbalanceOnSortedMixedExpiryPortfolio) {
   // Deep enough that one pricing spans several OS scheduling quanta — on a
   // single-core host a too-short run lets whichever thread holds the CPU
   // drain the ticket counter alone, which says nothing about the schedule.
-  req.steps_per_year = 512;
+  // Here that is about 30 ms per pricing on a 4-vCPU AVX-512 host.
+  req.steps_per_year = 1024;
 
   obs::enable_parallel_timing();
   obs::reset_metrics();
@@ -427,11 +428,11 @@ std::size_t thread_count() {
 // layout (binomial specs rows also at per-option depths; tasks off and on) through
 // engines on pools of 1 and 4, from a fresh thread with the default OpenMP
 // ICV. An OpenMP team formed by any participant, the inline one-participant
-// path included, would leave its threads behind, so the process must have
-// grown by exactly the pools' 3 workers.
+// path included, or by the engine sizing its scratch from the thread count,
+// would leave its threads behind, so the process must have grown by exactly
+// the pools' 3 workers.
 TEST(Engine, RangeBodiesFormNoOpenMPTeam) {
   ASSERT_GT(thread_count(), 0u);
-  arch::num_threads();  // its one-time detection forms a team: cache it here
   std::thread([] {
     const std::size_t before = thread_count();
     engine::ThreadPool one(1), four(4);

@@ -257,31 +257,43 @@ TEST(EngineAlloc, TaskedMixedExpiryBinomialIsAllocationFree) {
 
 // Per-option depths price each option through the W-lane single-option
 // kernel, whose node row and parity-split exercise rows come from the same
-// pooled lattice slot: a mixed American/European book stays heap-free.
+// pooled lattice slot: a mixed American/European book stays heap-free, at
+// 256 steps/yr and with every option at the 16-step floor (1 step/yr). The
+// uniform 8-step lattice prices the book's 45 % 8 tail on that kernel too,
+// at a depth where its padded rows outgrow a lane group's lattice.
 TEST(EngineAlloc, MixedStylePerOptionDepthBinomialIsAllocationFree) {
-  auto workload = core::make_option_workload(48, 15);
+  auto workload = core::make_option_workload(45, 15);
   for (std::size_t i = 0; i < workload.size(); i += 2) {
     workload[i].style = core::ExerciseStyle::kAmerican;
   }
   engine::ThreadPool pool(4);
   Engine eng(&pool);
-  for (const char* id : {"binomial.intermediate.auto", "binomial.advanced.auto"}) {
-    PricingRequest req;
-    req.kernel_id = id;
-    req.portfolio = core::view_of(std::span<const core::OptionSpec>(workload));
-    req.steps_per_year = 256;
-    req.chunks_per_thread = 3;
-    PricingResult res;
-    eng.price(req, res);  // warm-up: lattice pool, chunk bounds
-    eng.price(req, res);  // second warm-up: result buffers at capacity
-    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+  struct Depth {
+    int steps_per_year;
+    int steps;
+  };
+  for (const Depth depth : {Depth{256, 0}, Depth{1, 0}, Depth{0, 8}}) {
+    for (const char* id : {"binomial.intermediate.auto", "binomial.advanced.auto"}) {
+      PricingRequest req;
+      req.kernel_id = id;
+      req.portfolio = core::view_of(std::span<const core::OptionSpec>(workload));
+      req.steps_per_year = depth.steps_per_year;
+      if (depth.steps > 0) req.steps = depth.steps;
+      req.chunks_per_thread = 3;
+      PricingResult res;
+      eng.price(req, res);  // warm-up: lattice pool, chunk bounds
+      eng.price(req, res);  // second warm-up: result buffers at capacity
+      ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
-    const std::size_t allocs = allocations_during([&] {
-      for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
-    });
-    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
-    ASSERT_EQ(res.values.size(), workload.size());
-    EXPECT_EQ(allocs, 0u) << "steady-state per-option-depth pricing allocated (" << id << ")";
+      const std::size_t allocs = allocations_during([&] {
+        for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
+      });
+      ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+      ASSERT_EQ(res.values.size(), workload.size());
+      EXPECT_EQ(allocs, 0u) << "steady-state single-option pricing allocated (" << id
+                            << ", steps_per_year " << depth.steps_per_year << ", steps "
+                            << req.steps << ")";
+    }
   }
 }
 

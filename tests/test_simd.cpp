@@ -242,6 +242,29 @@ TYPED_TEST(VecTest, Reverse) {
   }
 }
 
+TYPED_TEST(VecTest, MinMaxReturnSecondOperandOnNaNOrTie) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const TypeParam one(1.0), n(nan), pz(0.0), nz(-0.0);
+  for (double x : to_array(max(one, n))) EXPECT_TRUE(std::isnan(x));
+  for (double x : to_array(max(n, one))) EXPECT_EQ(x, 1.0);
+  for (double x : to_array(min(one, n))) EXPECT_TRUE(std::isnan(x));
+  for (double x : to_array(min(n, one))) EXPECT_EQ(x, 1.0);
+  for (double x : to_array(max(nz, pz))) EXPECT_FALSE(std::signbit(x));
+  for (double x : to_array(min(pz, nz))) EXPECT_TRUE(std::signbit(x));
+}
+
+TYPED_TEST(VecTest, ShiftInEqualsLoadOneAhead) {
+  alignas(64) double row[32];
+  for (int i = 0; i < 32; ++i) row[i] = 0.5 + i;
+  constexpr int W = TypeParam::width;
+  for (int at : {0, W, 2 * W}) {
+    const auto a = TypeParam::load(row + at), next = TypeParam::load(row + at + W);
+    const auto r = to_array(simd::shift_in(a, next));
+    const auto want = to_array(TypeParam::loadu(row + at + 1));
+    for (int i = 0; i < W; ++i) EXPECT_EQ(r[i], want[i]) << "at=" << at << " lane=" << i;
+  }
+}
+
 TYPED_TEST(VecTest, Pow2n) {
   for (double n : {-1022.0, -52.0, -1.0, 0.0, 1.0, 10.0, 1023.0}) {
     auto r = to_array(simd::pow2n(TypeParam(n)));
